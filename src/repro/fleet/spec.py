@@ -103,9 +103,10 @@ class FleetConfig:
             (virtual-time anchors, zeroed latencies), so a rescheduled
             tenant's rewritten store matches the original bytes.
         chaos_crash: Test-only fault injection: ``(worker_id, n)``
-            hard-kills that worker (``os._exit``, no goodbye) once the
-            supervisor has observed ``n`` digests -- the worker-crash
-            recovery path's deterministic trigger.  ``None`` in
+            makes that worker's first incarnation hard-kill itself
+            (``os._exit``, no goodbye) right after putting its ``n``-th
+            digest -- the worker-crash recovery path's deterministic
+            trigger.  Its replacement runs normally.  ``None`` in
             production.
     """
 

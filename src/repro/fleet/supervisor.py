@@ -227,7 +227,6 @@ class FleetSupervisor:
         self._errors: List[Tuple[str, str]] = []
         self._crashes = 0
         self._degraded = False
-        self._chaos_fired = False
 
     # ------------------------------------------------------------------
     # Worker pool
@@ -236,12 +235,19 @@ class FleetSupervisor:
     def _spawn_worker(self, worker_id: int) -> _Worker:
         control = self._ctx.Queue()
         results = self._ctx.Queue()
+        # The chaos crash point travels with the victim slot's first
+        # incarnation only; its replacement must run to completion.
+        chaos = self.config.chaos_crash
+        crash_after = None
+        if chaos is not None and chaos[0] == worker_id and worker_id not in self._workers:
+            crash_after = chaos[1]
         proc = self._ctx.Process(
             target=worker_main,
             args=(worker_id, control, results),
             kwargs={
                 "store_dir": self.config.store_dir,
                 "deterministic_history": self.config.deterministic_history,
+                "crash_after": crash_after,
             },
             daemon=True,
         )
@@ -314,18 +320,6 @@ class FleetSupervisor:
                 "evicted" if status == EVICTED else "quarantined"
             )
         self._maybe_degrade()
-        self._maybe_chaos()
-
-    def _maybe_chaos(self) -> None:
-        chaos = self.config.chaos_crash
-        if chaos is None or self._chaos_fired:
-            return
-        if self.admission.observed < chaos[1]:
-            return
-        self._chaos_fired = True
-        victim = self._workers.get(chaos[0])
-        if victim is not None and not victim.done and victim.proc.is_alive():
-            victim.control.put(("crash",))
 
     def _maybe_degrade(self) -> None:
         if self._degraded or not self.admission.should_degrade():

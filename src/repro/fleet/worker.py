@@ -25,12 +25,16 @@ Control messages::
     ("degrade", bool)        toggle shed-partial-epochs mode
     ("drain",)               finish assigned work, then exit
     ("kill",)                exit now, abandoning running tenants
-    ("crash",)               test hook: die like a segfault (_exit)
 
 A quarantined tenant's task is cancelled at its next await; its
 ``tenant_done`` summary reports ``status="quarantined"`` with whatever
 digests already shipped left standing (the supervisor keeps them --
 the epochs were validated before the quarantine landed).
+
+The test-only crash hook is not a message: a worker spawned with
+``crash_after=n`` dies like a segfault (``os._exit``, no goodbye)
+right after putting its ``n``-th digest, so the crash point is a
+function of the fleet spec and never of cross-process scheduling.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ class _WorkerState:
     results: object
     store_dir: Optional[str]
     deterministic_history: bool
+    crash_after: Optional[int] = None
+    digests_put: int = 0
     tasks: Dict[str, asyncio.Task] = field(default_factory=dict)
     degraded: bool = False
     draining: bool = False
@@ -75,6 +81,15 @@ def _gate_for(state: _WorkerState):
     return gate
 
 
+def _ship_digest(state: _WorkerState, tenant: str, digest) -> None:
+    state.results.put(("digest", state.worker_id, tenant, digest))
+    state.digests_put += 1
+    if state.digests_put == state.crash_after:
+        # Simulated hard death: no cleanup, no goodbye -- the
+        # supervisor must notice via liveness, not protocol.
+        os._exit(17)
+
+
 async def _run_one(state: _WorkerState, spec: TenantSpec) -> None:
     results = state.results
     store_path = None
@@ -88,9 +103,7 @@ async def _run_one(state: _WorkerState, spec: TenantSpec) -> None:
             store_path=store_path,
             deterministic_history=state.deterministic_history,
             gate=_gate_for(state),
-            on_digest=lambda digest: results.put(
-                ("digest", state.worker_id, spec.tenant, digest)
-            ),
+            on_digest=lambda digest: _ship_digest(state, spec.tenant, digest),
         )
         summary = run.to_summary()
     except asyncio.CancelledError:
@@ -112,6 +125,7 @@ async def _worker(
     results,
     store_dir: Optional[str],
     deterministic_history: bool,
+    crash_after: Optional[int],
 ) -> None:
     loop = asyncio.get_running_loop()
     inbox: asyncio.Queue = asyncio.Queue()
@@ -119,10 +133,6 @@ async def _worker(
     def read_control() -> None:
         while True:
             message = control.get()
-            if message[0] == "crash":
-                # Simulated hard death: no cleanup, no goodbye -- the
-                # supervisor must notice via liveness, not protocol.
-                os._exit(17)
             loop.call_soon_threadsafe(inbox.put_nowait, message)
             if message[0] in ("drain", "kill"):
                 return
@@ -137,6 +147,7 @@ async def _worker(
         results=results,
         store_dir=store_dir,
         deterministic_history=deterministic_history,
+        crash_after=crash_after,
     )
     while True:
         message = await inbox.get()
@@ -173,8 +184,11 @@ def worker_main(
     results,
     store_dir: Optional[str] = None,
     deterministic_history: bool = True,
+    crash_after: Optional[int] = None,
 ) -> None:
     """Process entry point: run this worker's loop until told to stop."""
     asyncio.run(
-        _worker(worker_id, control, results, store_dir, deterministic_history)
+        _worker(
+            worker_id, control, results, store_dir, deterministic_history, crash_after
+        )
     )

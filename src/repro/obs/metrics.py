@@ -208,6 +208,8 @@ class _Family:
                 raise ValueError(f"invalid label name: {label!r}")
         self.label_names = label_names
         self._children: Dict[Tuple[str, ...], object] = {}
+        #: The ``()`` child of an unlabelled family, resolved on first use.
+        self._unlabelled: object = None
 
     def _new_child(self) -> object:
         raise NotImplementedError
@@ -231,9 +233,12 @@ class _Family:
         return list(zip(self.label_names, key))
 
     def _require_unlabelled(self, op: str):
-        if self.label_names:
-            raise ValueError(f"{self.name} has labels; use .labels(...).{op}")
-        return self.labels()
+        child = self._unlabelled
+        if child is None:
+            if self.label_names:
+                raise ValueError(f"{self.name} has labels; use .labels(...).{op}")
+            child = self._unlabelled = self.labels()
+        return child
 
     def merge_from(self, other: "_Family") -> None:
         """Fold another family's children into this one, per label set.

@@ -13,6 +13,7 @@ from repro.stream.events import (
     apply_update,
     reporting_routers,
     router_updates,
+    updates_by_router,
 )
 from repro.stream.feed import FeedStats, Perturbations, RouterFeed, make_feeds
 from repro.stream.ingest import IngestConfig, StreamPipeline, StreamResult
@@ -36,4 +37,5 @@ __all__ = [
     "reporting_routers",
     "router_updates",
     "run_soak",
+    "updates_by_router",
 ]

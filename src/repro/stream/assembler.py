@@ -17,9 +17,11 @@ low-watermark discipline:
 Until it seals, an epoch buffers deliveries keyed by ``(router, uid)``
 -- which both dedupes duplicated deliveries and makes the final
 snapshot independent of arrival interleaving: at seal time the buffer
-is applied in sorted key order.  A delivery for an already-sealed
-epoch is *late*: counted and dropped, never applied (a late write
-mutating history would desynchronise the engine's incremental state).
+is applied in sorted key order.  (The buffer is one ``uid`` dict per
+router, so a delivery allocates no key tuple of its own.)  A delivery
+for an already-sealed epoch is *late*: counted and dropped, never
+applied (a late write mutating history would desynchronise the
+engine's incremental state).
 
 Sealed epochs are **partial** when some expected router contributed
 nothing: its signals are simply absent from the snapshot, which
@@ -79,16 +81,16 @@ class AssembledEpoch:
     """
 
     timestamp: float
-    snapshot: Optional[NetworkSnapshot]
-    coverage: Dict[str, int]
-    expected: Tuple[str, ...]
+    snapshot: Optional[NetworkSnapshot] = field(repr=False)
+    coverage: Dict[str, int] = field(repr=False)
+    expected: Tuple[str, ...] = field(repr=False)
     missing: Tuple[str, ...]
     complete: bool
     sealed_by: str
     updates: int
     duplicates: int
     assembly_latency_s: float
-    events: Tuple[UpdateEvent, ...] = ()
+    events: Tuple[UpdateEvent, ...] = field(default=(), repr=False)
 
 
 @dataclass
@@ -96,7 +98,8 @@ class _OpenEpoch:
     """Buffer state for one not-yet-sealed epoch."""
 
     first_at: float
-    events: Dict[Tuple[str, int], UpdateEvent] = field(default_factory=dict)
+    #: Deduped deliveries: router -> uid -> event.
+    events: Dict[str, Dict[int, UpdateEvent]] = field(default_factory=dict)
     duplicates: int = 0
 
 
@@ -146,6 +149,12 @@ class EpochAssembler:
         self._sealed_ts: set = set()
         self._progress: Dict[str, float] = {r: float("-inf") for r in self.expected}
         self._done: set = set()
+        # Cached low watermark and one live router whose progress equals
+        # it.  The minimum can only move when that router advances or
+        # finishes, so nothing else recomputes it.
+        self._watermark = float("-inf")
+        self._holder: Optional[str] = None
+        self._refresh_watermark()
         self.late_dropped = 0
         self.duplicates = 0
         self.updates = 0
@@ -189,15 +198,20 @@ class EpochAssembler:
 
     def watermark(self) -> float:
         """Low watermark: min event-time frontier over live routers."""
-        live = [self._progress[r] for r in self.expected if r not in self._done]
-        if not live:
-            return float("inf")
-        return min(live)
+        return self._watermark
+
+    def _refresh_watermark(self) -> None:
+        progress = self._progress
+        live = [r for r in self.expected if r not in self._done]
+        self._holder = min(live, key=progress.__getitem__) if live else None
+        self._watermark = progress[self._holder] if live else float("inf")
 
     def offer(self, event: UpdateEvent) -> List[AssembledEpoch]:
         """Buffer one delivery; return any epochs it caused to seal."""
         self.updates += 1
         self._updates_total.inc()
+        router = event.router
+        scan = False
         if event.epoch_ts in self._sealed_ts:
             self.late_dropped += 1
             self._late_total.inc()
@@ -206,21 +220,32 @@ class EpochAssembler:
             if state is None:
                 state = self._open[event.epoch_ts] = _OpenEpoch(first_at=self._clock())
                 self._open_gauge.set(float(len(self._open)))
-            key = (event.router, event.uid)
-            if key in state.events:
+                scan = True
+            bucket = state.events.get(router)
+            if bucket is None:
+                bucket = state.events[router] = {}
+            if event.uid in bucket:
                 state.duplicates += 1
                 self.duplicates += 1
                 self._dup_total.inc()
             else:
-                state.events[key] = event
-        if event.router in self._progress:
-            if event.emit_ts > self._progress[event.router]:
-                self._progress[event.router] = event.emit_ts
-        return self._seal_ready()
+                bucket[event.uid] = event
+        if router in self._progress and event.emit_ts > self._progress[router]:
+            self._progress[router] = event.emit_ts
+            if router == self._holder:
+                self._refresh_watermark()
+                scan = True
+        # Every epoch the watermark has passed was sealed by the call
+        # that moved it, so only a moved watermark or an epoch opened
+        # behind it can leave something to seal.
+        return self._seal_ready() if scan else []
 
     def mark_done(self, router: str) -> List[AssembledEpoch]:
         """A feed finished (or was abandoned): stop waiting for it."""
         self._done.add(router)
+        if router != self._holder:
+            return []
+        self._refresh_watermark()
         return self._seal_ready()
 
     def drain(self) -> List[AssembledEpoch]:
@@ -230,7 +255,7 @@ class EpochAssembler:
     # ------------------------------------------------------------------
 
     def _seal_ready(self) -> List[AssembledEpoch]:
-        wm = self.watermark()
+        wm = self._watermark
         sealed: List[AssembledEpoch] = []
         for ts in sorted(self._open):
             if ts + self.lateness_s <= wm:
@@ -247,10 +272,11 @@ class EpochAssembler:
         with self.tracer.span(
             "assemble", category="stream", timestamp=timestamp, sealed_by=sealed_by
         ) as span:
-            ordered = tuple(state.events[key] for key in sorted(state.events))
-            coverage: Dict[str, int] = {}
-            for event in ordered:
-                coverage[event.router] = coverage.get(event.router, 0) + 1
+            buckets = sorted(state.events.items())  # router names are unique
+            ordered = tuple(
+                bucket[uid] for _router, bucket in buckets for uid in sorted(bucket)
+            )
+            coverage = {router: len(bucket) for router, bucket in buckets}
             if self._build_snapshots:
                 snapshot: Optional[NetworkSnapshot] = NetworkSnapshot(timestamp=timestamp)
                 for event in ordered:
@@ -271,7 +297,7 @@ class EpochAssembler:
                 events = ordered
             missing = tuple(r for r in self.expected if r not in coverage)
             span.annotate(
-                updates=len(state.events),
+                updates=len(ordered),
                 duplicates=state.duplicates,
                 missing=len(missing),
             )
@@ -286,7 +312,7 @@ class EpochAssembler:
             missing=missing,
             complete=complete,
             sealed_by=sealed_by,
-            updates=len(state.events),
+            updates=len(ordered),
             duplicates=state.duplicates,
             assembly_latency_s=latency,
             events=events,

@@ -25,6 +25,7 @@ path verdict-identical to the batch path.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -35,6 +36,7 @@ from repro.telemetry.snapshot import LinkStatusReport, NetworkSnapshot, ProbeRes
 __all__ = [
     "UpdateEvent",
     "FeedError",
+    "updates_by_router",
     "router_updates",
     "apply_update",
     "reporting_routers",
@@ -109,75 +111,51 @@ def reporting_routers(snapshot: NetworkSnapshot) -> List[str]:
     return sorted(owners)
 
 
-def router_updates(
-    snapshot: NetworkSnapshot, router: str
-) -> List[Tuple[str, object, Tuple[Tuple[str, object], ...]]]:
-    """One router's slice of a snapshot as ``(path, value, meta)`` rows.
+#: One update on the wire, minus its delivery envelope: ``(path, value, meta)``.
+UpdateRow = Tuple[str, object, Tuple[Tuple[str, object], ...]]
 
-    Rows come out in deterministic path order (sorted within each
-    signal family, families in registry order), so feeds built from the
-    same snapshot always emit identical streams for a given seed.
+
+def updates_by_router(snapshot: NetworkSnapshot) -> Dict[str, List[UpdateRow]]:
+    """The whole snapshot as ``(path, value, meta)`` rows per router.
+
+    One pass per signal family.  Each router's rows come out in
+    deterministic path order (sorted within each signal family,
+    families in registry order), so feeds built from the same snapshot
+    always emit identical streams for a given seed.  A router that owns
+    no signal has no entry.
     """
-    rows: List[Tuple[str, object, Tuple[Tuple[str, object], ...]]] = []
+    by_router: Dict[str, List[UpdateRow]] = defaultdict(list)
+
+    def path(kind: SignalKind, node: str, peer: Optional[str] = None) -> str:
+        return SignalPath(kind, node, peer).render()
 
     for (node, peer), reading in sorted(snapshot.counters.items()):
-        if node != router:
-            continue
         meta = _counter_meta(reading)
-        rows.append(
-            (SignalPath(SignalKind.RX_RATE, node, peer).render(), reading.rx_rate, meta)
-        )
-        rows.append(
-            (SignalPath(SignalKind.TX_RATE, node, peer).render(), reading.tx_rate, meta)
-        )
+        rows = by_router[node]
+        rows.append((path(SignalKind.RX_RATE, node, peer), reading.rx_rate, meta))
+        rows.append((path(SignalKind.TX_RATE, node, peer), reading.tx_rate, meta))
     for (node, peer), status in sorted(snapshot.link_status.items()):
-        if node != router:
-            continue
-        rows.append(
-            (SignalPath(SignalKind.OPER_STATUS, node, peer).render(), status.oper_up, ())
-        )
-        rows.append(
-            (
-                SignalPath(SignalKind.ADMIN_STATUS, node, peer).render(),
-                status.admin_up,
-                (),
-            )
-        )
-    if router in snapshot.drains:
-        rows.append(
-            (SignalPath(SignalKind.DRAIN, router).render(), snapshot.drains[router], ())
-        )
-    if router in snapshot.drain_reasons:
-        rows.append(
-            (
-                SignalPath(SignalKind.DRAIN_REASON, router).render(),
-                snapshot.drain_reasons[router],
-                (),
-            )
-        )
+        rows = by_router[node]
+        rows.append((path(SignalKind.OPER_STATUS, node, peer), status.oper_up, ()))
+        rows.append((path(SignalKind.ADMIN_STATUS, node, peer), status.admin_up, ()))
+    for node, drained in snapshot.drains.items():
+        by_router[node].append((path(SignalKind.DRAIN, node), drained, ()))
+    for node, reason in snapshot.drain_reasons.items():
+        by_router[node].append((path(SignalKind.DRAIN_REASON, node), reason, ()))
     for (node, peer), drained in sorted(snapshot.link_drains.items()):
-        if node != router:
-            continue
-        rows.append((SignalPath(SignalKind.LINK_DRAIN, node, peer).render(), drained, ()))
-    if router in snapshot.drops:
-        rows.append(
-            (
-                SignalPath(SignalKind.NODE_DROPS, router).render(),
-                snapshot.drops[router],
-                (),
-            )
-        )
+        by_router[node].append((path(SignalKind.LINK_DRAIN, node, peer), drained, ()))
+    for node, drops in snapshot.drops.items():
+        by_router[node].append((path(SignalKind.NODE_DROPS, node), drops, ()))
     for (node, peer), probe in sorted(snapshot.probes.items()):
-        if node != router:
-            continue
-        rows.append(
-            (
-                SignalPath(SignalKind.PROBE, node, peer).render(),
-                probe.ok,
-                (("rtt_ms", probe.rtt_ms),),
-            )
+        by_router[node].append(
+            (path(SignalKind.PROBE, node, peer), probe.ok, (("rtt_ms", probe.rtt_ms),))
         )
-    return rows
+    return dict(by_router)
+
+
+def router_updates(snapshot: NetworkSnapshot, router: str) -> List[UpdateRow]:
+    """One router's slice of :func:`updates_by_router`."""
+    return updates_by_router(snapshot).get(router, [])
 
 
 def apply_update(

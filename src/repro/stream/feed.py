@@ -36,7 +36,13 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.stream.events import FeedError, UpdateEvent, reporting_routers, router_updates
+from repro.stream.events import (
+    FeedError,
+    UpdateEvent,
+    UpdateRow,
+    router_updates,
+    updates_by_router,
+)
 from repro.telemetry.snapshot import NetworkSnapshot
 
 __all__ = ["Perturbations", "FeedStats", "RouterFeed", "make_feeds"]
@@ -118,10 +124,34 @@ class RouterFeed:
         perturb: Optional[Perturbations] = None,
         seed: int = 0,
     ) -> None:
+        slices = [(ts, router_updates(snapshot, router)) for ts, snapshot in epochs]
+        self._init_from_slices(router, slices, perturb, seed)
+
+    @classmethod
+    def _from_slices(
+        cls,
+        router: str,
+        slices: Sequence[Tuple[float, Sequence[UpdateRow]]],
+        perturb: Optional[Perturbations],
+        seed: int,
+    ) -> "RouterFeed":
+        """A feed over pre-sliced ``(epoch_ts, rows)`` pairs, so
+        :func:`make_feeds` can slice each snapshot once for all feeds."""
+        feed = cls.__new__(cls)
+        feed._init_from_slices(router, slices, perturb, seed)
+        return feed
+
+    def _init_from_slices(
+        self,
+        router: str,
+        slices: Sequence[Tuple[float, Sequence[UpdateRow]]],
+        perturb: Optional[Perturbations],
+        seed: int,
+    ) -> None:
         self.router = router
         self.perturb = perturb or Perturbations()
         self.stats = FeedStats()
-        self._deliveries = self._build(epochs, seed)
+        self._deliveries = self._build(slices, seed)
         self._pos = 0
         self._failed_once: set = set()
         rng = _feed_rng(router, seed + 1)
@@ -130,15 +160,15 @@ class RouterFeed:
         )
 
     def _build(
-        self, epochs: Sequence[Tuple[float, NetworkSnapshot]], seed: int
+        self, slices: Sequence[Tuple[float, Sequence[UpdateRow]]], seed: int
     ) -> List[UpdateEvent]:
         p = self.perturb
         rng = _feed_rng(self.router, seed)
         deliveries: List[Tuple[float, int, int, UpdateEvent]] = []
         order = 0
         uid = 0
-        for epoch_ts, snapshot in epochs:
-            for path, value, meta in router_updates(snapshot, self.router):
+        for epoch_ts, rows in slices:
+            for path, value, meta in rows:
                 uid += 1
                 self.stats.updates += 1
                 if rng.random() < p.drop:
@@ -223,16 +253,16 @@ def make_feeds(
     """One feed per router reporting anywhere in the epoch sequence.
 
     Returns a dict keyed by router name in sorted order, so iterating
-    it is deterministic.
+    it is deterministic.  Each snapshot is sliced once for all feeds.
     """
-    routers: List[str] = []
-    seen: set = set()
-    for _ts, snapshot in epochs:
-        for router in reporting_routers(snapshot):
-            if router not in seen:
-                seen.add(router)
-                routers.append(router)
+    sliced = [(ts, updates_by_router(snapshot)) for ts, snapshot in epochs]
+    routers = sorted({router for _ts, by_router in sliced for router in by_router})
     return {
-        router: RouterFeed(router, epochs, perturb=perturb, seed=seed)
-        for router in sorted(routers)
+        router: RouterFeed._from_slices(
+            router,
+            [(ts, by_router.get(router, ())) for ts, by_router in sliced],
+            perturb,
+            seed,
+        )
+        for router in routers
     }

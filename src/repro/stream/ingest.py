@@ -17,6 +17,18 @@ Design points:
   oldest *event* is discarded (and counted); end-of-feed control items
   are never dropped, so sealing can never deadlock on a discarded
   notification.
+* **No await on a hop that cannot block.**  ``asyncio.Queue.put``/
+  ``get`` suspend only on a full/empty queue, so producers and the
+  consumer use ``put_nowait``/``get_nowait`` and fall back to the
+  awaiting form exactly there -- the same scheduling, without a
+  coroutine frame per delivery.  ``stream_queue_depth`` is sampled at
+  those boundaries (where a task actually parks) and at the end of
+  the run, not per delivery.
+* **Collector paused from seal to verdict.**  With nothing allocated
+  per delivery, the cyclic collector is only ever triggered by fold +
+  validate; it is disabled for that synchronous call (and restored to
+  what the caller had) so its aging passes run after the verdict is
+  stamped, not inside the latency the operator reads.
 * **Per-feed timeout + retry with backoff.**  A delivery attempt that
   raises :class:`~repro.stream.events.FeedError` or times out is
   retried with exponential backoff up to ``max_retries``; a feed that
@@ -50,6 +62,8 @@ keeping this module hodor-lint D1-clean.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import gc
 import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -142,6 +156,11 @@ class IngestConfig:
 class StreamResult:
     """Everything one pipeline run produced, in seal order.
 
+    The per-epoch lists stay out of ``repr()``: it is a one-line
+    summary of the counters, however long the run (``asyncio.run``
+    formats the result it returns, so a repr that walked every sealed
+    event was paid on every :meth:`StreamPipeline.run`).
+
     Attributes:
         epochs: Sealed epochs, ascending timestamp.
         reports: One validation report per sealed epoch (aligned).
@@ -158,15 +177,15 @@ class StreamResult:
             ``epochs``/``reports``).
     """
 
-    epochs: List[AssembledEpoch] = field(default_factory=list)
-    reports: List[object] = field(default_factory=list)
+    epochs: List[AssembledEpoch] = field(default_factory=list, repr=False)
+    reports: List[object] = field(default_factory=list, repr=False)
     updates: int = 0
     late_dropped: int = 0
     duplicates: int = 0
     backpressure_dropped: int = 0
     retries: int = 0
     abandoned: Tuple[str, ...] = ()
-    epoch_latency_s: List[float] = field(default_factory=list)
+    epoch_latency_s: List[float] = field(default_factory=list, repr=False)
     shed_epochs: int = 0
 
     @property
@@ -176,6 +195,27 @@ class StreamResult:
     @property
     def partial_epochs(self) -> int:
         return sum(1 for epoch in self.epochs if not epoch.complete)
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Keep the cyclic collector's passes out of seal-to-verdict.
+
+    Ingest allocates nothing that survives a delivery, so the
+    collector's thresholds are only ever tripped by fold + validate:
+    without this, the aging of everything the *previous* epoch left
+    behind (its report, the open epochs' buffers) is paid between an
+    epoch's seal and its verdict.  Validation is synchronous -- no
+    other task runs inside the bracket -- and what it allocates is
+    collected at the first allocation after the verdict is stamped.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class StreamPipeline:
@@ -229,6 +269,11 @@ class StreamPipeline:
         on_epoch=None,
     ) -> None:
         self._feeds = list(feeds)
+        # Classified once: an async feed's ``next_event`` is a coroutine
+        # function; a sync replay feed's is called directly.
+        self._feed_is_async = tuple(
+            asyncio.iscoroutinefunction(feed.next_event) for feed in self._feeds
+        )
         self._assembler = assembler
         self._engine = engine
         self._inputs_for = self._as_callable(inputs_for)
@@ -282,50 +327,51 @@ class StreamPipeline:
     # Producers
     # ------------------------------------------------------------------
 
-    async def _attempt(self, feed: RouterFeed) -> Optional[UpdateEvent]:
-        """One delivery attempt.  An async feed (a coroutine-function
-        ``next_event``, e.g. real gNMI I/O) runs under the per-feed
-        timeout; a sync replay feed cannot block, so it is called
-        directly -- wrapping it in ``wait_for`` would create one task
-        per delivery for a timeout that can never fire."""
-        method = feed.next_event
-        if asyncio.iscoroutinefunction(method):
-            return await asyncio.wait_for(method(), self.config.feed_timeout_s)
-        return method()
-
-    async def _pull(self, state: _RunState, feed: RouterFeed) -> Optional[UpdateEvent]:
+    async def _pull(
+        self, state: _RunState, feed: RouterFeed, is_async: bool, attempts: int = 0
+    ) -> Optional[UpdateEvent]:
         """Next delivery with retry/backoff; ``None`` = exhausted or
-        abandoned (the caller cannot tell, and does not need to)."""
-        attempts = 0
+        abandoned (the caller cannot tell, and does not need to).
+
+        Producers call a sync replay feed's ``next_event`` themselves --
+        it cannot block, so it needs neither a timeout nor a coroutine
+        frame -- and come here only for an async feed (real gNMI I/O,
+        run under the per-feed timeout) or once a sync attempt has
+        raised, passing the ``attempts`` already failed."""
+        config = self.config
         while True:
-            try:
-                return await self._attempt(feed)
-            except (FeedError, asyncio.TimeoutError):
-                attempts += 1
+            if attempts:
                 state.retries += 1
                 self._retry_total.inc()
-                if attempts > self.config.max_retries:
+                if attempts > config.max_retries:
                     state.abandoned.append(feed.router)
                     self._abandoned_total.inc()
                     return None
-                await asyncio.sleep(self.config.backoff_base_s * (2 ** (attempts - 1)))
+                await asyncio.sleep(config.backoff_base_s * (2 ** (attempts - 1)))
+            try:
+                if is_async:
+                    return await asyncio.wait_for(
+                        feed.next_event(), config.feed_timeout_s
+                    )
+                return feed.next_event()
+            except (FeedError, asyncio.TimeoutError):
+                attempts += 1
 
-    async def _enqueue(self, state: _RunState, item: object) -> None:
+    async def _enqueue_full(self, state: _RunState, item: UpdateEvent) -> None:
+        """Enqueue an event that found the queue full: wait for space
+        (``"block"``) or shed the oldest queued event.  Producers
+        ``put_nowait`` themselves while there is room -- ``Queue.put``
+        only suspends on a full queue, so going around it changes no
+        scheduling decision -- which makes this the one place a
+        producer parks, and where the depth gauge is sampled."""
         queue = state.queue
-        if self.config.backpressure == "block" or isinstance(item, _FeedDone):
-            await queue.put(item)
-        else:
-            while True:
-                try:
-                    queue.put_nowait(item)
-                    break
-                except asyncio.QueueFull:
-                    if not self._shed_oldest(state):
-                        # Queue full of control items: nothing is
-                        # droppable, so fall back to blocking.
-                        await queue.put(item)
-                        break
         self._queue_gauge.set(float(queue.qsize()))
+        if self.config.backpressure == "drop-oldest" and self._shed_oldest(state):
+            queue.put_nowait(item)  # the shed event's slot
+        else:
+            # "block" -- or a queue full of control items, where nothing
+            # is droppable.
+            await queue.put(item)
 
     def _shed_oldest(self, state: _RunState) -> bool:
         """Discard the oldest queued *event*; controls are re-queued
@@ -349,56 +395,67 @@ class StreamPipeline:
             queue.put_nowait(control)
         return shed
 
-    async def _produce_one(self, state: _RunState, feed: RouterFeed) -> None:
+    async def _produce_one(
+        self, state: _RunState, feed: RouterFeed, is_async: bool
+    ) -> None:
         """Concurrent mode: one producer task per feed.  The feed's
         done-marker doubles as this task's terminal marker."""
+        queue = state.queue
         try:
             while True:
-                event = await self._pull(state, feed)
+                if is_async:
+                    event = await self._pull(state, feed, True)
+                else:
+                    try:
+                        event = feed.next_event()
+                    except FeedError:
+                        event = await self._pull(state, feed, False, attempts=1)
                 if event is None:
                     break
-                await self._enqueue(state, event)
+                try:
+                    queue.put_nowait(event)
+                except asyncio.QueueFull:
+                    await self._enqueue_full(state, event)
         finally:
-            await state.queue.put(_FeedDone(feed.router, terminal=True))
+            await queue.put(_FeedDone(feed.router, terminal=True))
 
     async def _produce_merged(self, state: _RunState) -> None:
         """Deterministic mode: merge every feed in delivery order.
         Per-feed done-markers are non-terminal (the single producer is
         still running); one terminal marker closes the task."""
+        queue = state.queue
         try:
-            heap: List[Tuple[float, str, int, int, UpdateEvent, RouterFeed]] = []
+            heap: List[Tuple[float, str, int, int, UpdateEvent, RouterFeed, bool]] = []
             tiebreak = 0
-            for feed in self._feeds:
-                event = await self._pull(state, feed)
+            # Feeds still owed their first pull, last first; once every
+            # feed is primed each pull replaces the delivery just sent.
+            unprimed = list(zip(self._feeds, self._feed_is_async))[::-1]
+            while unprimed or heap:
+                if unprimed:
+                    feed, is_async = unprimed.pop()
+                else:
+                    _ts, _router, _uid, _tb, event, feed, is_async = heapq.heappop(heap)
+                    try:
+                        queue.put_nowait(event)
+                    except asyncio.QueueFull:
+                        await self._enqueue_full(state, event)
+                if is_async:
+                    event = await self._pull(state, feed, True)
+                else:
+                    try:
+                        event = feed.next_event()
+                    except FeedError:
+                        event = await self._pull(state, feed, False, attempts=1)
                 if event is None:
-                    await state.queue.put(_FeedDone(feed.router))
+                    await queue.put(_FeedDone(feed.router))
                     continue
                 tiebreak += 1
                 heapq.heappush(
                     heap,
-                    (event.emit_ts, event.router, event.uid, tiebreak, event, feed),
-                )
-            while heap:
-                _ts, _router, _uid, _tb, event, feed = heapq.heappop(heap)
-                await self._enqueue(state, event)
-                replacement = await self._pull(state, feed)
-                if replacement is None:
-                    await state.queue.put(_FeedDone(feed.router))
-                    continue
-                tiebreak += 1
-                heapq.heappush(
-                    heap,
-                    (
-                        replacement.emit_ts,
-                        replacement.router,
-                        replacement.uid,
-                        tiebreak,
-                        replacement,
-                        feed,
-                    ),
+                    (event.emit_ts, event.router, event.uid, tiebreak, event, feed, is_async),
                 )
         finally:
-            await state.queue.put(_FeedDone("", terminal=True))
+            await queue.put(_FeedDone("", terminal=True))
 
     # ------------------------------------------------------------------
     # Consumer
@@ -419,7 +476,7 @@ class StreamPipeline:
             timestamp=epoch.timestamp,
             complete=epoch.complete,
             sealed_by=epoch.sealed_by,
-        ) as span:
+        ) as span, _collector_paused():
             if epoch.snapshot is None:
                 # Scatter path: the assembler sealed events only; the
                 # engine's cached decoder folds them without re-parsing
@@ -432,9 +489,9 @@ class StreamPipeline:
                     epoch.snapshot, inputs, topology=self._topology
                 )
             span.annotate(updates=epoch.updates, missing=len(epoch.missing))
+            latency = event_loop_time() - sealed_at
         result.epochs.append(epoch)
         result.reports.append(report)
-        latency = event_loop_time() - sealed_at
         result.epoch_latency_s.append(latency)
         if self.history is not None:
             self.history.record(
@@ -461,8 +518,13 @@ class StreamPipeline:
         queue = state.queue
         assembler = self._assembler
         while remaining > 0:
-            item = await queue.get()
-            self._queue_gauge.set(float(queue.qsize()))
+            # ``Queue.get`` only suspends on an empty queue; taking the
+            # item directly otherwise changes no scheduling decision.
+            try:
+                item = queue.get_nowait()
+            except asyncio.QueueEmpty:
+                self._queue_gauge.set(0.0)
+                item = await queue.get()
             if isinstance(item, _FeedDone):
                 if item.terminal:
                     remaining -= 1
@@ -478,6 +540,7 @@ class StreamPipeline:
             sealed_at = event_loop_time()
             for epoch in drained:
                 self._validate_epoch(state, epoch, sealed_at)
+        self._queue_gauge.set(float(queue.qsize()))
 
     # ------------------------------------------------------------------
     # Entry points
@@ -493,8 +556,8 @@ class StreamPipeline:
             producers = [asyncio.ensure_future(self._produce_merged(state))]
         else:
             producers = [
-                asyncio.ensure_future(self._produce_one(state, feed))
-                for feed in self._feeds
+                asyncio.ensure_future(self._produce_one(state, feed, is_async))
+                for feed, is_async in zip(self._feeds, self._feed_is_async)
             ]
         try:
             await self._consume(state, remaining=len(producers))

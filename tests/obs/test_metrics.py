@@ -66,6 +66,31 @@ class TestCounter:
         with pytest.raises(ValueError):
             counter.labels(phase="collect")
 
+    def test_unlabelled_fast_path_never_opens_a_labelled_family(self):
+        # The unlabelled child is resolved once and reused; a labelled
+        # family must keep raising however often it is asked, and must
+        # never grow a ``()`` child.
+        registry = MetricsRegistry()
+        counter = registry.counter("by_stage_total", "x", labels=("stage",))
+        gauge = registry.gauge("depth_by_stage", "x", labels=("stage",))
+        histogram = registry.histogram("lat_by_stage", "x", labels=("stage",))
+        for _ in range(2):
+            for call in (counter.inc, lambda: gauge.set(1.0), gauge.inc, gauge.dec,
+                         lambda: histogram.observe(0.1), lambda: counter.value):
+                with pytest.raises(ValueError, match="has labels"):
+                    call()
+        assert registry.samples() == []
+
+    def test_unlabelled_fast_path_is_the_exposed_child(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("events_total", "Events seen.")
+        gauge = registry.gauge("depth", "Queue depth.")
+        for _ in range(3):
+            counter.inc()
+            gauge.set(counter.value)
+        assert counter.labels().value == gauge.labels().value == 3.0
+        assert "events_total 3" in registry.render() and "depth 3" in registry.render()
+
 
 class TestGauge:
     def test_set_inc_dec(self):

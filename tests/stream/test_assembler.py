@@ -1,6 +1,8 @@
 """EpochAssembler: watermarks, dedupe, partial epochs, lateness."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.stream import EpochAssembler, UpdateEvent
 
@@ -139,3 +141,119 @@ class TestDrainAndMetrics:
         (right,) = backward.drain()
         assert left.snapshot.drains == right.snapshot.drains
         assert left.coverage == right.coverage
+
+
+class _ReferenceAssembler:
+    """The assembler as first written: ``min(progress)`` and a scan of
+    every open epoch on every call, one flat ``(router, uid)`` buffer."""
+
+    def __init__(self, routers, lateness_s):
+        self.expected = tuple(sorted(set(routers)))
+        self.lateness_s = lateness_s
+        self.progress = {router: float("-inf") for router in self.expected}
+        self.done, self.sealed, self.open = set(), set(), {}
+        self.updates = self.duplicates = self.late_dropped = 0
+
+    def watermark(self):
+        live = [self.progress[r] for r in self.expected if r not in self.done]
+        return min(live) if live else float("inf")
+
+    def offer(self, event):
+        self.updates += 1
+        if event.epoch_ts in self.sealed:
+            self.late_dropped += 1
+        else:
+            buffer, dups = self.open.setdefault(event.epoch_ts, ({}, []))
+            if (event.router, event.uid) in buffer:
+                dups.append(event)
+                self.duplicates += 1
+            else:
+                buffer[(event.router, event.uid)] = event
+        if event.router in self.progress:
+            self.progress[event.router] = max(self.progress[event.router], event.emit_ts)
+        return self.seal_ready()
+
+    def mark_done(self, router):
+        self.done.add(router)
+        return self.seal_ready()
+
+    def seal_ready(self):
+        ready = [ts for ts in sorted(self.open) if ts + self.lateness_s <= self.watermark()]
+        return [self.seal(ts, "watermark") for ts in ready]
+
+    def drain(self):
+        return [self.seal(ts, "drain") for ts in sorted(self.open)]
+
+    def seal(self, ts, sealed_by):
+        buffer, dups = self.open.pop(ts)
+        self.sealed.add(ts)
+        return ts, sealed_by, tuple(buffer[key] for key in sorted(buffer)), len(dups)
+
+
+_ROUTERS = ("a", "b", "c")
+_OPS = st.one_of(
+    st.tuples(
+        st.just("offer"),
+        st.sampled_from(_ROUTERS + ("ghost",)),  # ghost is outside `expected`
+        st.sampled_from((0.0, 10.0, 20.0, 30.0)),  # epoch
+        st.integers(min_value=1, max_value=4),  # uid: collisions are duplicates
+        st.sampled_from((0.0, 0.3, 1.0, 2.5, 11.0, 35.0)),  # emit_ts - epoch_ts
+    ),
+    st.tuples(st.just("done"), st.sampled_from(_ROUTERS + ("ghost",))),
+    st.tuples(st.just("drain")),
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ops=st.lists(_OPS, max_size=60),
+        lateness_s=st.sampled_from((0.0, 1.0, 12.0)),
+    )
+    def test_cached_watermark_seals_exactly_what_the_full_scan_does(
+        self, ops, lateness_s
+    ):
+        """Any interleaving of offer/mark_done/drain -- reordered,
+        duplicated and late deliveries, routers outside ``expected``,
+        epochs first seen after the watermark has already passed them
+        -- seals the same epochs, in the same order, with the same
+        events in the same order as recomputing everything per call."""
+        assembler = EpochAssembler(_ROUTERS, lateness_s=lateness_s, build_snapshots=False)
+        reference = _ReferenceAssembler(_ROUTERS, lateness_s)
+        for op in ops:
+            if op[0] == "offer":
+                _kind, router, epoch_ts, uid, lag = op
+                event = _event(router, epoch_ts, uid, emit_ts=epoch_ts + lag)
+                sealed, expected = assembler.offer(event), reference.offer(event)
+            elif op[0] == "done":
+                sealed, expected = assembler.mark_done(op[1]), reference.mark_done(op[1])
+            else:
+                sealed, expected = assembler.drain(), reference.drain()
+            assert [
+                (epoch.timestamp, epoch.sealed_by, epoch.events, epoch.duplicates)
+                for epoch in sealed
+            ] == expected
+            for epoch in sealed:
+                assert epoch.updates == len(epoch.events) == sum(epoch.coverage.values())
+                assert list(epoch.coverage) == sorted({e.router for e in epoch.events})
+                assert epoch.missing == tuple(
+                    r for r in _ROUTERS if r not in epoch.coverage
+                )
+            assert assembler.watermark() == reference.watermark()
+            assert assembler.open_epochs == len(reference.open)
+        assert (assembler.updates, assembler.duplicates, assembler.late_dropped) == (
+            reference.updates,
+            reference.duplicates,
+            reference.late_dropped,
+        )
+
+
+class TestRepr:
+    def test_sealed_epoch_repr_is_a_summary_not_a_dump(self):
+        assembler = EpochAssembler(["a"], lateness_s=1.0, build_snapshots=False)
+        for uid in range(10_000):
+            assembler.offer(_event("a", 0.0, uid))
+        (epoch,) = assembler.drain()
+        assert len(epoch.events) == 10_000
+        assert len(repr(epoch)) < 400
+        assert "updates=10000" in repr(epoch)

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.stream import FeedError, Perturbations, RouterFeed, make_feeds, reporting_routers
+from repro.stream import (
+    FeedError,
+    Perturbations,
+    RouterFeed,
+    make_feeds,
+    reporting_routers,
+    router_updates,
+    updates_by_router,
+)
+from repro.telemetry.paths import SignalPath
 
 from tests.engine.conftest import random_epoch
 
@@ -148,3 +157,29 @@ class TestMakeFeeds:
         feeds = make_feeds(epochs, seed=0)
         assert sorted(feeds) == reporting_routers(epochs[0][1])
         assert all(feeds[r].router == r for r in feeds)
+
+    def test_sliced_once_equals_one_feed_at_a_time(self):
+        # make_feeds groups each snapshot by router in one pass; every
+        # feed must replay exactly what a feed built alone from the
+        # whole epoch sequence does -- same rows, same rng draws.
+        epochs = _epochs()
+        only_drains = epochs[0][1].__class__(timestamp=30.0, drain_reasons={"zz": "rma"})
+        epochs.append((30.0, only_drains))
+        feeds = make_feeds(epochs, perturb=PERTURB, seed=5)
+        assert "zz" in feeds  # a router whose only signal is a label
+        for router, feed in feeds.items():
+            alone = RouterFeed(router, epochs, perturb=PERTURB, seed=5)
+            assert feed.stats == alone.stats
+            assert _drainfeed(feed) == _drainfeed(alone)
+
+    def test_updates_by_router_partitions_the_snapshot(self):
+        snapshot = _epochs()[0][1]
+        by_router = updates_by_router(snapshot)
+        assert sorted(by_router) == reporting_routers(snapshot)
+        for router, rows in by_router.items():
+            assert rows == router_updates(snapshot, router)
+            assert all(SignalPath.parse(path).node == router for path, _v, _m in rows)
+            assert [path for path, _v, _m in rows] == list(
+                dict.fromkeys(path for path, _v, _m in rows)
+            )  # no path twice
+        assert router_updates(snapshot, "nobody") == []
