@@ -3,12 +3,14 @@
 :class:`VectorValidator` re-expresses the core pipeline stages on the
 compiled :class:`~repro.core.vector.model.VectorModel` arrays:
 
-- **collect** packs each snapshot family into dense slot arrays with a
-  ``np.fromiter`` fast path (NaN codes missing rates, small ints code
-  tri-state booleans); any entry the fast path cannot prove benign --
-  malformed, stale, boolean-typed, out of universe -- is routed
-  through the corresponding serial per-entity unit so coercion
-  findings and crash behavior stay byte-identical;
+- **collect** packs each signal family into dense slot arrays -- from a
+  snapshot's family dicts, or straight from a sealed epoch's update
+  events through the model's path index -- with ``np.fromiter`` column
+  kernels (NaN codes missing rates, small ints code tri-state
+  booleans); any entry the kernels cannot prove benign -- malformed,
+  stale, boolean-typed, out of universe -- is routed through the
+  corresponding serial per-entity unit so coercion findings and crash
+  behavior stay byte-identical;
 - **R1 symmetry** is one paired-column comparison (``tx[edge]`` vs
   ``rx[edge_rev[edge]]``) plus vectorized relative-gap math that
   reproduces the scalar arithmetic bit for bit;
@@ -31,7 +33,8 @@ identical to the per-entity path's.  The per-entity units this module
 is the array twin of: ``collect_counter_entity``,
 ``collect_status_entity``, ``collect_drain_entity``,
 ``collect_drain_reason_entity``, ``collect_link_drain_entity``,
-``collect_drop_entity`` (exception path + oracle),
+``collect_drop_entity`` (exception path + oracle; both packers
+dispatch these six through the one ``_scatter``),
 ``harden_edge_entity`` / ``harden_external_entity`` /
 ``harden_node_drain_entity`` / ``harden_link_drain_entity``
 (replicated as array math), ``repair_flows`` (delegated),
@@ -45,7 +48,9 @@ from __future__ import annotations
 
 import math
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from contextlib import contextmanager
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -70,12 +75,16 @@ from repro.core.signals import (
 )
 from repro.core.vector.model import VectorModel
 from repro.obs.trace import NullTracer
+from repro.telemetry.counters import CounterReading
+from repro.telemetry.paths import PathError, SignalKind
+from repro.telemetry.snapshot import LinkStatusReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.control.inputs import ControllerInputs
     from repro.core.config import HodorConfig
     from repro.engine.cache import TopologyCache
     from repro.engine.stats import EngineStats
+    from repro.stream.events import UpdateEvent
     from repro.telemetry.snapshot import NetworkSnapshot
 
 __all__ = ["VectorValidator"]
@@ -91,6 +100,62 @@ _STATUS_STRS = ("up", "down", "conflict", "unknown")
 _ACTIVE_VALS = (False, True, None)
 _PROBE_STRS = ("ok", "fail", "unknown")
 _TRI = (None, False, True)
+#: The meta every rate update carries (``repro.stream.events``).
+_RATE_META = ("sequence", "timestamp", "window_s")
+
+# The column kernels: each maps one raw column to codes and is the one
+# place that decides which values the array path may take as they are.
+# Everything else is flagged for the family's serial ``collect_*_entity``
+# unit, so coercion findings and crash behavior stay the serial path's.
+
+
+def _rate_column(raw) -> np.ndarray:
+    """Finite non-negative floats as they are, NaN for ``None``, and
+    -1.0 (valid rates are >= 0) for anything else."""
+    return np.fromiter(
+        (
+            v
+            if type(v) is float and 0.0 <= v < _INF
+            else (np.nan if v is None else -1.0)
+            for v in raw
+        ),
+        np.float64,
+        count=len(raw),
+    )
+
+
+def _tri_column(raw) -> np.ndarray:
+    """1 / 0 / -1 for the objects ``True`` / ``False`` / ``None``, and -2
+    for anything else."""
+    return np.fromiter(
+        (1 if v is True else (0 if v is False else (-1 if v is None else -2)) for v in raw),
+        np.int8,
+        count=len(raw),
+    )
+
+
+def _stamp_column(raw) -> np.ndarray:
+    """Float timestamps as they are, exactly representable ints as
+    floats, and -inf for anything else."""
+    return np.fromiter(
+        (
+            t
+            if type(t) is float
+            else (float(t) if type(t) is int and -_EXACT_INT < t < _EXACT_INT else -_INF)
+            for t in raw
+        ),
+        np.float64,
+        count=len(raw),
+    )
+
+
+def _nan_if_none(value: Optional[float]) -> float:
+    return np.nan if value is None else value
+
+
+def _bit(value: Optional[bool]) -> int:
+    """A coerced tri-state as the int8 arrays code it."""
+    return -1 if value is None else int(value)
 
 
 def _neq(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -242,13 +307,8 @@ class VectorValidator:
         self._ld_intern: Dict[int, HardenedDrain] = {}
         self._ld_fnd_memo: Dict[Tuple[int, int], Tuple[Finding, ...]] = {}
 
-        # Per-family (keys, slots) layout caches for the pack stage.
-        self._lay_counters: Optional[Tuple[tuple, np.ndarray]] = None
-        self._lay_statuses: Optional[Tuple[tuple, np.ndarray]] = None
-        self._lay_drains: Optional[Tuple[tuple, np.ndarray]] = None
-        self._lay_link_drains: Optional[Tuple[tuple, np.ndarray]] = None
-        self._lay_drops: Optional[Tuple[tuple, np.ndarray]] = None
-        self._lay_probes: Optional[Tuple[tuple, np.ndarray]] = None
+        # Per snapshot family, the (keys, slots) layout of the last pack.
+        self._layouts: Dict[SignalKind, Tuple[tuple, np.ndarray]] = {}
 
         self.reset()
 
@@ -343,27 +403,53 @@ class VectorValidator:
         self, snapshot: NetworkSnapshot, inputs: ControllerInputs
     ) -> ValidationReport:
         """Validate one epoch on the compiled arrays."""
-        tracer = self._tracer
+        replay = self._primed and snapshot is self._prev_snapshot
+        report = self._epoch(
+            snapshot.timestamp, inputs, None if replay else lambda: self._pack(snapshot)
+        )
+        self._prev_snapshot = snapshot
+        return report
+
+    def validate_events(
+        self, events: Sequence[UpdateEvent], timestamp: float, inputs: ControllerInputs
+    ) -> ValidationReport:
+        """Validate one sealed epoch straight from its update events.
+
+        Identical reports to :meth:`validate` on the snapshot the
+        reference codec (:class:`~repro.stream.fold.EventFolder`) folds
+        from the same events; an epoch whose shape :meth:`_pack_events`
+        cannot prove equivalent is folded and packed the reference way.
+        """
+
+        def pack() -> None:
+            if not self._pack_events(events, timestamp):
+                # A throwaway folder: the fallback remembers no path.
+                from repro.stream.fold import EventFolder  # deferred: stream imports core
+
+                self._pack(EventFolder().fold(events, timestamp))
+
+        # Event buffers have no replay identity, and the one a snapshot
+        # epoch left behind must not outlive this epoch.
+        self._prev_snapshot = None
+        return self._epoch(timestamp, inputs, pack)
+
+    def _epoch(
+        self, timestamp: float, inputs: ControllerInputs, pack: Optional[Callable[[], None]]
+    ) -> ValidationReport:
+        """The three stages of one epoch; ``pack`` is the collect stage,
+        ``None`` to replay the previous epoch's arrays."""
         m = self._model
-        same = self._primed and snapshot is self._prev_snapshot
-        if tracer.enabled:
-            tracer.instant("vector", priming=not self._primed, replay=same)
+        if self._tracer.enabled:
+            self._tracer.instant("vector", priming=not self._primed, replay=pack is None)
 
         try:
-            with tracer.span("collect", category="stage") as span:
-                reuse_before = self._reuse_totals("collect") if tracer.enabled else None
-                stage_start = time.perf_counter()
-                if same:
+            with self._stage("collect"):
+                if pack is None:
                     self._stats.record_reuse("collect", 0, self._pack_total)
                 else:
-                    self._pack(snapshot)
-                self._stats.record_stage("collect", time.perf_counter() - stage_start)
-                self._annotate_reuse(span, "collect", reuse_before)
-
-            with tracer.span("harden", category="stage") as span:
-                reuse_before = self._reuse_totals("harden") if tracer.enabled else None
-                stage_start = time.perf_counter()
-                if same:
+                    pack()
+            with self._stage("harden"):
+                if pack is None:
                     state = self._state
                     self._stats.record_reuse("harden.flows", 0, m.num_edges)
                     self._stats.record_reuse("harden.external", 0, m.num_nodes)
@@ -371,375 +457,362 @@ class VectorValidator:
                     self._stats.record_reuse("harden.drains", 0, m.num_nodes)
                     self._stats.record_reuse("harden.drains", 0, m.num_links)
                 else:
-                    state = self._harden(snapshot)
-                self._stats.record_stage("harden", time.perf_counter() - stage_start)
-                self._annotate_reuse(span, "harden", reuse_before)
-
-            with tracer.span("check", category="stage") as span:
-                reuse_before = self._reuse_totals("check") if tracer.enabled else None
-                stage_start = time.perf_counter()
-                report = ValidationReport(timestamp=snapshot.timestamp, hardened=state)
+                    state = self._harden()
+            with self._stage("check"):
+                report = ValidationReport(timestamp=timestamp, hardened=state)
                 Hodor._record(report, self._check_demand(inputs, state))
                 Hodor._record(report, self._check_topology(inputs, state))
                 Hodor._record(report, self._check_drain(inputs, state))
-                self._stats.record_stage("check", time.perf_counter() - stage_start)
-                self._annotate_reuse(span, "check", reuse_before)
         except BaseException:
             self.reset()
             raise
 
         self._state = state
-        self._prev_snapshot = snapshot
         self._primed = True
         return report
 
-    def _reuse_totals(self, prefix: str) -> Tuple[int, int]:
-        """(recomputed, reused) totals across a stage's entity families."""
-        recomputed = sum(
-            count
-            for stage, count in self._stats.entities_recomputed.items()
-            if stage.startswith(prefix)
-        )
-        reused = sum(
-            count
-            for stage, count in self._stats.entities_reused.items()
-            if stage.startswith(prefix)
-        )
-        return recomputed, reused
+    @contextmanager
+    def _stage(self, name: str):
+        """One stage's span and wall time, with the entity counts it
+        recomputed and reused across its families when tracing."""
+        tracing = self._tracer.enabled
+        with self._tracer.span(name, category="stage") as span:
+            before = self._reuse_totals(name) if tracing else None
+            start = time.perf_counter()
+            yield
+            self._stats.record_stage(name, time.perf_counter() - start)
+            if before is not None:
+                recomputed, reused = self._reuse_totals(name)
+                span.annotate(recomputed=recomputed - before[0], reused=reused - before[1])
 
-    def _annotate_reuse(self, span, prefix: str, before: Optional[Tuple[int, int]]) -> None:
-        if before is None:
-            return
-        recomputed, reused = self._reuse_totals(prefix)
-        span.annotate(recomputed=recomputed - before[0], reused=reused - before[1])
+    def _reuse_totals(self, prefix: str) -> Tuple[int, ...]:
+        """(recomputed, reused) totals across a stage's entity families."""
+        return tuple(
+            sum(count for stage, count in counts.items() if stage.startswith(prefix))
+            for counts in (self._stats.entities_recomputed, self._stats.entities_reused)
+        )
 
     # ------------------------------------------------------------------
     # Stage 1: pack (collection)
     # ------------------------------------------------------------------
 
-    def _layout(self, cached, mapping, slot_map) -> Tuple[tuple, np.ndarray]:
-        """Key->slot gather for one family, revalidated by key tuple."""
-        keys = tuple(mapping)
-        if cached is not None and cached[0] == keys:
-            return cached
-        slots = np.fromiter(
-            (slot_map.get(key, -1) for key in keys), np.int64, count=len(keys)
-        )
-        return (keys, slots)
+    # Both packers hand ``_collect`` one ``(slots, columns, entity_at,
+    # first)`` per signal family, keyed by its (first) kind, one row per
+    # reported entity: ``slots[i]`` is row i's slot (-1: outside the
+    # universe), ``columns`` the raw values, ``entity_at(i)`` the ``(key,
+    # raw record)`` its serial unit takes, and ``first`` orders the
+    # serial calls (row order when ``None``).
 
     def _pack(self, snapshot: NetworkSnapshot) -> None:
-        """Pack every snapshot family into the dense slot arrays.
+        """Pack every snapshot family into the dense slot arrays: one
+        row per dict entry, in dict order."""
 
-        Fast paths cover exactly the values whose serial coercion is
-        the identity with no finding; everything else goes through the
-        serial ``collect_*_entity`` units (crash/finding parity) and is
-        scattered into the arrays afterwards.  Family findings are
-        emitted in sorted-key order, matching serial collection.
+        def rows(kind: SignalKind, mapping, *attrs: str):
+            keys = tuple(mapping)
+            cached = self._layouts.get(kind)
+            if cached is None or cached[0] != keys:  # revalidated by key tuple
+                slot_map = self._model.path_index.slots[kind]
+                slots = np.fromiter(
+                    (slot_map.get(key, -1) for key in keys), np.int64, count=len(keys)
+                )
+                cached = self._layouts[kind] = (keys, slots)
+            records = mapping.values()
+            columns = [list(map(attrgetter(attr), records)) for attr in attrs] or [records]
+            return cached[1], columns, lambda i: (keys[i], mapping[keys[i]]), None
+
+        self._collect(
+            snapshot.timestamp,
+            {
+                kind: rows(kind, *source)
+                for kind, source in (
+                    (SignalKind.RX_RATE, (snapshot.counters, "rx_rate", "tx_rate", "timestamp")),
+                    (SignalKind.OPER_STATUS, (snapshot.link_status, "oper_up")),
+                    (SignalKind.DRAIN, (snapshot.drains,)),
+                    (SignalKind.DRAIN_REASON, (snapshot.drain_reasons,)),
+                    (SignalKind.LINK_DRAIN, (snapshot.link_drains,)),
+                    (SignalKind.NODE_DROPS, (snapshot.drops,)),
+                    (SignalKind.PROBE, (snapshot.probes, "ok")),
+                )
+            },
+        )
+
+    def _pack_events(self, events: Sequence[UpdateEvent], snap_ts: float) -> bool:
+        """Pack one sealed epoch straight from its update events.
+
+        Leaves exactly what ``_pack(EventFolder().fold(events, snap_ts))``
+        leaves.  The model's path index maps every path to an id;
+        ``where[id]`` is the position of the event that carries it, and a
+        family's rows are a gather over its id range: one row per slot
+        that has an event, then one per key outside the universe.
+
+        Returns ``False``, having packed nothing, for an epoch the
+        gather cannot stand in for the fold on: an unparseable path (the
+        fold raises), a path that occurs twice (the fold's last write
+        wins), or a counter whose latest rate event lacks the canonical
+        ``sequence/timestamp/window_s`` meta (the fold then keeps an
+        older or default timestamp).
+        """
+        index = self._model.path_index
+        try:
+            ids, outside = index.resolve(events)
+        except PathError:
+            return False
+        n = len(events)
+        where = np.full(index.size + 1, -1, dtype=np.int64)  # [size]: scratch
+        where[ids] = np.arange(n)
+        if np.count_nonzero(where[: index.size] >= 0) + sum(map(len, outside.values())) != n:
+            return False
+        values = [event.value for event in events]
+        values.append(None)  # values[-1]: what the fold leaves where no event wrote
+
+        def rows(*kinds: SignalKind):
+            """``key_at(i)``, slots, ``first``, and per kind the position
+            of each row's event (-1 for none)."""
+            keys_by_slot = index.keys[kinds[0]]
+            at = np.stack([where[index.span[kind]] for kind in kinds])
+            slots = np.nonzero((at >= 0).any(axis=0))[0]
+            at = at[:, slots]
+            inside = len(slots)
+            beyond = [outside.get(kind, {}) for kind in kinds]
+            more = list(dict.fromkeys(key for found in beyond for key in found))
+            if more:
+                slots = np.concatenate((slots, np.full(len(more), -1)))
+                at = np.concatenate(
+                    (at, [[found.get(key, -1) for key in more] for found in beyond]), axis=1
+                )
+            first = np.where(at < 0, n, at).min(axis=0)
+            return (
+                lambda i: keys_by_slot[slots[i]] if i < inside else more[i - inside],
+                slots,
+                first,
+                at,
+            )
+
+        def single(kind: SignalKind, coerce=None):
+            key_at, slots, first, (at,) = rows(kind)
+            raw = [values[i] for i in at.tolist()]
+            if coerce is not None:
+                raw = list(map(coerce, raw))
+            return slots, [raw], lambda i: (key_at(i), raw[i]), first
+
+        # The fold builds ProbeResult(ok=bool(value)) before anything is
+        # collected, so a value whose truth test raises does so here.
+        family = {SignalKind.PROBE: single(SignalKind.PROBE, bool)}
+        for kind in (
+            SignalKind.DRAIN,
+            SignalKind.DRAIN_REASON,
+            SignalKind.LINK_DRAIN,
+            SignalKind.NODE_DROPS,
+        ):
+            family[kind] = single(kind)
+
+        key_at, slots, first, (at_rx, at_tx) = rows(SignalKind.RX_RATE, SignalKind.TX_RATE)
+        metas = [events[i].meta for i in np.maximum(at_rx, at_tx).tolist()]
+        if not all(
+            len(meta) == 3 and (meta[0][0], meta[1][0], meta[2][0]) == _RATE_META
+            for meta in metas
+        ):
+            return False
+        columns = [
+            [values[i] for i in at_rx.tolist()],
+            [values[i] for i in at_tx.tolist()],
+            [meta[1][1] for meta in metas],
+        ]
+
+        def reading_at(i):
+            rx, tx, stamp = (column[i] for column in columns)
+            return key_at(i), CounterReading(rx_rate=rx, tx_rate=tx, timestamp=stamp)
+
+        family[SignalKind.RX_RATE] = (slots, columns, reading_at, first)
+
+        status_key_at, slots, first, (at_oper, at_admin) = rows(
+            SignalKind.OPER_STATUS, SignalKind.ADMIN_STATUS
+        )
+
+        oper = [values[i] for i in at_oper.tolist()]
+
+        def status_at(i):
+            report = LinkStatusReport(oper_up=oper[i])
+            if at_admin[i] >= 0:
+                report.admin_up = values[at_admin[i]]
+            return status_key_at(i), report
+
+        family[SignalKind.OPER_STATUS] = (slots, [oper], status_at, first)
+        self._collect(snap_ts, family)
+        return True
+
+    def _collect(self, snap_ts: float, family) -> None:
+        """Rows of every family -> slot arrays, exceptional-entity
+        objects, collection findings and the collect reuse counts.
+
+        Per family: the column kernels code the raw columns, the rows
+        they cleared scatter into the slot arrays as they are, and the
+        rest go through the family's serial unit (:meth:`_scatter`).
         """
         m = self._model
         collector = self._components.collector
-        config = self._config
-        snap_ts = snapshot.timestamp
-        findings: List[Finding] = []
         self._counter_objs = {}
         self._extra_statuses = {}
         self._extra_probes = {}
-        serial_links: Set[int] = set()
-        total = 0
-        recomputed = 0
+        self._collected_findings = []
+        self._pack_total = 0
+        self._pack_recomputed = 0
 
-        # -- interface counters -------------------------------------------------
-        counters = snapshot.counters
-        n = len(counters)
-        total += n
-        self._lay_counters = self._layout(self._lay_counters, counters, m.counter_slot)
-        keys, slots = self._lay_counters
+        rows = family[SignalKind.RX_RATE]
+        slots = rows[0]
+        rx, tx = _rate_column(rows[1][0]), _rate_column(rows[1][1])
+        ts = _stamp_column(rows[1][2])
         crx = np.full(m.num_counter_slots, np.nan)
         ctx = np.full(m.num_counter_slots, np.nan)
         cts = np.zeros(m.num_counter_slots)
         cpres = np.zeros(m.num_counter_slots, dtype=bool)
-        if n:
-            rx = np.fromiter(
-                (
-                    v
-                    if type(v := r.rx_rate) is float and 0.0 <= v < _INF
-                    else (np.nan if v is None else -1.0)
-                    for r in counters.values()
-                ),
-                np.float64,
-                count=n,
-            )
-            tx = np.fromiter(
-                (
-                    v
-                    if type(v := r.tx_rate) is float and 0.0 <= v < _INF
-                    else (np.nan if v is None else -1.0)
-                    for r in counters.values()
-                ),
-                np.float64,
-                count=n,
-            )
-            ts = np.fromiter(
-                (
-                    t
-                    if type(t := r.timestamp) is float
-                    else (
-                        float(t)
-                        if type(t) is int and -_EXACT_INT < t < _EXACT_INT
-                        else -_INF
-                    )
-                    for r in counters.values()
-                ),
-                np.float64,
-                count=n,
-            )
-            # -1.0 flags a rate the fast path could not clear (valid rates
-            # are >= 0); -inf timestamps force the stale branch, whose
-            # serial unit reproduces exact serial behavior (including the
-            # TypeError a non-numeric timestamp raises there).
-            exc = (
-                (rx == -1.0)  # lint: ignore[F1]
-                | (tx == -1.0)  # lint: ignore[F1]
-                | ((snap_ts - ts) > config.max_staleness_s)
-                | (slots < 0)
-            )
-            ok = ~exc
-            sl = slots[ok]
-            crx[sl] = rx[ok]
-            ctx[sl] = tx[ok]
-            cts[sl] = ts[ok]
-            cpres[sl] = True
-            if exc.any():
-                fmap: Dict[Tuple[str, str], Tuple[Finding, ...]] = {}
-                for i in np.nonzero(exc)[0].tolist():
-                    key = keys[i]
-                    obj, fnds = collector.collect_counter_entity(
-                        snap_ts, key, counters[key]
-                    )
-                    recomputed += 1
-                    self._counter_objs[key] = obj
-                    slot = slots[i]
-                    if slot >= 0:
-                        crx[slot] = np.nan if obj.rx is None else obj.rx
-                        ctx[slot] = np.nan if obj.tx is None else obj.tx
-                        cpres[slot] = True
-                    if fnds:
-                        fmap[key] = fnds
-                for key in sorted(fmap):
-                    findings.extend(fmap[key])
+        # -1.0 flags a rate the column kernel could not clear (valid rates
+        # are >= 0); -inf timestamps force the stale branch, whose serial
+        # unit reproduces exact serial behavior (including the TypeError a
+        # non-numeric timestamp raises there).
+        exceptional = (
+            (rx == -1.0)  # lint: ignore[F1]
+            | (tx == -1.0)  # lint: ignore[F1]
+            | ((snap_ts - ts) > self._config.max_staleness_s)
+            | (slots < 0)
+        )
+
+        def store_counter(key, slot, obj):
+            self._counter_objs[key] = obj
+            if slot >= 0:
+                crx[slot], ctx[slot], cpres[slot] = _nan_if_none(obj.rx), _nan_if_none(obj.tx), True
+
+        present = np.ones(len(slots), dtype=bool)
+        self._scatter(
+            rows,
+            exceptional,
+            ((crx, rx), (ctx, tx), (cts, ts), (cpres, present)),
+            lambda key, reading: collector.collect_counter_entity(snap_ts, key, reading),
+            store_counter,
+        )
         self._cnt_rx, self._cnt_tx, self._cnt_ts, self._cnt_present = crx, ctx, cts, cpres
 
-        # -- link status --------------------------------------------------------
-        statuses = snapshot.link_status
-        n = len(statuses)
-        total += n
-        self._lay_statuses = self._layout(self._lay_statuses, statuses, m.edge_index)
-        keys, slots = self._lay_statuses
+        rows = family[SignalKind.OPER_STATUS]
+        codes = _tri_column(rows[1][0])
         st = np.full(m.num_edges, -1, dtype=np.int8)
         spres = np.zeros(m.num_edges, dtype=bool)
-        if n:
-            codes = np.fromiter(
-                (
-                    1
-                    if (o := rep.oper_up) is True
-                    else (0 if o is False else (-1 if o is None else -2))
-                    for rep in statuses.values()
-                ),
-                np.int8,
-                count=n,
-            )
-            exc = (codes == -2) | (slots < 0)
-            ok = ~exc
-            sl = slots[ok]
-            st[sl] = codes[ok]
-            spres[sl] = True
-            if exc.any():
-                fmap = {}
-                for i in np.nonzero(exc)[0].tolist():
-                    key = keys[i]
-                    obj, fnds = collector.collect_status_entity(key, statuses[key])
-                    recomputed += 1
-                    slot = slots[i]
-                    if slot >= 0:
-                        oper = obj.oper_up
-                        st[slot] = -1 if oper is None else int(oper)
-                        spres[slot] = True
-                    self._extra_statuses[key] = obj
-                    if fnds:
-                        fmap[key] = fnds
-                for key in sorted(fmap):
-                    findings.extend(fmap[key])
+
+        def store_status(key, slot, obj):
+            self._extra_statuses[key] = obj
+            if slot >= 0:
+                st[slot], spres[slot] = _bit(obj.oper_up), True
+
+        self._scatter(
+            rows,
+            (codes == -2) | (rows[0] < 0),
+            ((st, codes), (spres, np.ones(len(codes), dtype=bool))),
+            collector.collect_status_entity,
+            store_status,
+        )
         self._st_oper, self._st_present = st, spres
 
-        # -- node drains --------------------------------------------------------
-        drains = snapshot.drains
-        n = len(drains)
-        total += n
-        self._lay_drains = self._layout(self._lay_drains, drains, m.node_slot)
-        keys, slots = self._lay_drains
-        nd = np.full(m.num_nodes, -1, dtype=np.int8)
-        if n:
-            codes = np.fromiter(
-                (
-                    1
-                    if (o := raw) is True
-                    else (0 if o is False else (-1 if o is None else -2))
-                    for raw in drains.values()
-                ),
-                np.int8,
-                count=n,
-            )
-            exc = codes == -2
-            ok = ~exc & (slots >= 0)
-            nd[slots[ok]] = codes[ok]
-            if exc.any():
-                fmap = {}
-                for i in np.nonzero(exc)[0].tolist():
-                    key = keys[i]
-                    value, fnds = collector.collect_drain_entity(key, drains[key])
-                    recomputed += 1
-                    slot = slots[i]
-                    if slot >= 0:
-                        nd[slot] = -1 if value is None else int(value)
-                    if fnds:
-                        fmap[key] = fnds
-                for key in sorted(fmap):
-                    findings.extend(fmap[key])
-        self._nd_bit = nd
+        def values(kind, out, codes, exceptional, unit, encode):
+            """A family that is one value per slot."""
 
-        # -- drain reasons (small family; parsed inline) ------------------------
-        reasons = snapshot.drain_reasons
-        total += len(reasons)
-        rs = np.full(m.num_nodes, -1, dtype=np.int8)
-        if reasons:
-            fmap = {}
-            reason_code = self._reason_code
-            for key, raw in reasons.items():
-                value, fnds = collector.collect_drain_reason_entity(key, raw)
-                recomputed += 1
-                slot = m.node_slot.get(key)
-                if slot is not None and value is not None:
-                    rs[slot] = reason_code[value]
-                if fnds:
-                    fmap[key] = fnds
-            for key in sorted(fmap):
-                findings.extend(fmap[key])
-        self._nd_reason = rs
+            def store(_key, slot, value):
+                if slot >= 0:
+                    out[slot] = encode(value)
 
-        # -- link drains --------------------------------------------------------
-        link_drains = snapshot.link_drains
-        n = len(link_drains)
-        total += n
-        self._lay_link_drains = self._layout(
-            self._lay_link_drains, link_drains, m.edge_index
+            self._scatter(family[kind], exceptional, ((out, codes),), unit, store)
+            return out
+
+        codes = _tri_column(family[SignalKind.DRAIN][1][0])
+        self._nd_bit = values(
+            SignalKind.DRAIN,
+            np.full(m.num_nodes, -1, dtype=np.int8),
+            codes,
+            codes == -2,
+            collector.collect_drain_entity,
+            _bit,
         )
-        keys, slots = self._lay_link_drains
-        ld = np.full(m.num_edges, -1, dtype=np.int8)
-        if n:
-            codes = np.fromiter(
-                (
-                    1
-                    if (o := raw) is True
-                    else (0 if o is False else (-1 if o is None else -2))
-                    for raw in link_drains.values()
-                ),
-                np.int8,
-                count=n,
-            )
-            exc = codes == -2
-            ok = ~exc & (slots >= 0)
-            ld[slots[ok]] = codes[ok]
-            if exc.any():
-                # collect_link_drain_entity never emits findings.
-                for i in np.nonzero(exc)[0].tolist():
-                    key = keys[i]
-                    value, _fnds = collector.collect_link_drain_entity(
-                        key, link_drains[key]
-                    )
-                    recomputed += 1
-                    slot = slots[i]
-                    if slot >= 0:
-                        ld[slot] = -1 if value is None else int(value)
-        self._ld_code = ld
+        # Drain reasons are a small family: every row goes through its
+        # unit (nothing is cleared, so the mask doubles as the column).
+        every = np.ones(len(family[SignalKind.DRAIN_REASON][0]), dtype=bool)
+        self._nd_reason = values(
+            SignalKind.DRAIN_REASON,
+            np.full(m.num_nodes, -1, dtype=np.int8),
+            every,
+            every,
+            collector.collect_drain_reason_entity,
+            lambda reason: -1 if reason is None else self._reason_code[reason],
+        )
+        codes = _tri_column(family[SignalKind.LINK_DRAIN][1][0])
+        self._ld_code = values(
+            SignalKind.LINK_DRAIN,
+            np.full(m.num_edges, -1, dtype=np.int8),
+            codes,
+            codes == -2,
+            collector.collect_link_drain_entity,
+            _bit,
+        )
+        vals = _rate_column(family[SignalKind.NODE_DROPS][1][0])
+        self._dp = values(
+            SignalKind.NODE_DROPS,
+            np.full(m.num_nodes, np.nan),
+            vals,
+            vals == -1.0,  # lint: ignore[F1]
+            collector.collect_drop_entity,
+            _nan_if_none,
+        )
+        recomputed = self._pack_recomputed
+        self._stats.record_reuse("collect", recomputed, self._pack_total - recomputed)
 
-        # -- drop counters ------------------------------------------------------
-        drops = snapshot.drops
-        n = len(drops)
-        total += n
-        self._lay_drops = self._layout(self._lay_drops, drops, m.node_slot)
-        keys, slots = self._lay_drops
-        dp = np.full(m.num_nodes, np.nan)
-        if n:
-            vals = np.fromiter(
-                (
-                    v
-                    if type(v := raw) is float and 0.0 <= v < _INF
-                    else (np.nan if v is None else -1.0)
-                    for raw in drops.values()
-                ),
-                np.float64,
-                count=n,
-            )
-            exc = vals == -1.0  # lint: ignore[F1]
-            ok = ~exc & (slots >= 0)
-            dp[slots[ok]] = vals[ok]
-            if exc.any():
-                fmap = {}
-                for i in np.nonzero(exc)[0].tolist():
-                    key = keys[i]
-                    value, fnds = collector.collect_drop_entity(key, drops[key])
-                    recomputed += 1
-                    slot = slots[i]
-                    if slot >= 0:
-                        dp[slot] = np.nan if value is None else value
-                    if fnds:
-                        fmap[key] = fnds
-                for key in sorted(fmap):
-                    findings.extend(fmap[key])
-        self._dp = dp
-
-        # -- probes (raw booleans; no collection unit, no findings) -------------
-        probes = snapshot.probes
-        n = len(probes)
-        self._lay_probes = self._layout(self._lay_probes, probes, m.edge_index)
-        keys, slots = self._lay_probes
-        pr = np.full(m.num_edges, -1, dtype=np.int8)
-        if n:
-            codes = np.fromiter(
-                (
-                    1
-                    if (o := result.ok) is True
-                    else (0 if o is False else -2)
-                    for result in probes.values()
-                ),
-                np.int8,
-                count=n,
-            )
-            exc = codes == -2
-            ok = ~exc & (slots >= 0)
-            pr[slots[ok]] = codes[ok]
-            if exc.any():
-                # A probe whose .ok is not a plain bool routes its link's
-                # status hardening through the serial unit.
-                for i in np.nonzero(exc)[0].tolist():
-                    key = keys[i]
-                    self._extra_probes[key] = probes[key].ok
-                    slot = slots[i]
-                    if slot >= 0:
-                        serial_links.add(int(self._edge_link[slot]))
-        self._pr = pr
-
+        # Probes are raw booleans: no collection unit, no findings, and
+        # not part of the collect stage's entity count.  One whose .ok
+        # is not a plain bool routes its link's status hardening through
+        # the serial unit.
+        slots, (oks,), entity_at, _first = family[SignalKind.PROBE]
+        codes = _tri_column(oks)
+        plain = codes >= 0
+        known = plain & (slots >= 0)
+        self._pr = np.full(m.num_edges, -1, dtype=np.int8)
+        self._pr[slots[known]] = codes[known]
+        serial_links: Set[int] = set()
+        for i in np.nonzero(~plain)[0].tolist():
+            self._extra_probes[entity_at(i)[0]] = oks[i]
+            if slots[i] >= 0:
+                serial_links.add(int(self._edge_link[slots[i]]))
         self._serial_links = sorted(serial_links)
-        self._collected_findings = findings
-        self._pack_total = total
-        self._pack_recomputed = recomputed
-        self._stats.record_reuse("collect", recomputed, total - recomputed)
+
+    def _scatter(self, rows, exceptional: np.ndarray, cleared, unit, store) -> None:
+        """One family's rows into its slot arrays.
+
+        Rows outside ``exceptional`` scatter as they are (``cleared``
+        pairs each slot array with its column).  The others go through
+        the serial ``unit`` -- in the snapshot's dict order, which
+        decides what a crashing value surfaces first -- and
+        ``store(key, slot, result)`` writes what it returns; findings
+        are emitted in sorted-key order, as serial collection does.
+        """
+        slots, _columns, entity_at, first = rows
+        ok = ~exceptional & (slots >= 0)
+        for out, column in cleared:
+            out[slots[ok]] = column[ok]
+        self._pack_total += len(slots)
+        todo = np.nonzero(exceptional)[0]
+        if first is not None:
+            todo = todo[np.argsort(first[todo], kind="stable")]
+        found: Dict[object, Tuple[Finding, ...]] = {}
+        for i in todo.tolist():
+            key, raw = entity_at(i)
+            result, fnds = unit(key, raw)
+            store(key, slots[i], result)
+            if fnds:
+                found[key] = fnds
+        self._pack_recomputed += len(todo)
+        for key in sorted(found):
+            self._collected_findings.extend(found[key])
 
     # ------------------------------------------------------------------
     # Stage 2: hardening
     # ------------------------------------------------------------------
 
-    def _harden(self, snapshot: NetworkSnapshot) -> HardenedState:
+    def _harden(self) -> HardenedState:
         m = self._model
         cache = self._cache
         config = self._config
@@ -1351,7 +1424,7 @@ class VectorValidator:
         m = self._model
         cache = self._cache
         checker = self._components.topology
-        believed = frozenset(link.name for link in inputs.topology.links())
+        believed = frozenset(inputs.topology.link_names())
 
         if not believed <= self._link_name_set:
             # Believed links outside the hardened universe: the key

@@ -24,6 +24,11 @@ structures, built once per topology fingerprint and reused every epoch
   sorted orders onto the insertion-order arrays, so assembly can walk
   the exact serial orders without per-entity dict lookups.
 
+- **a path index**: rendered gNMI path -> one id in a single id space
+  laid out family by family over those slot universes
+  (:class:`PathIndex`), so sealed update events scatter into the slot
+  arrays without an intermediate snapshot.
+
 The model holds *structure only* -- no per-epoch values and no
 references to the per-entity units; the epoch-time array work lives in
 :mod:`repro.core.vector.backend`.
@@ -32,17 +37,107 @@ references to the per-entity units; the epoch-time array work lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.net.topology import EXTERNAL_PEER
+from repro.telemetry.paths import SignalKind, SignalPath
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.cache import TopologyCache
 
-__all__ = ["VectorModel"]
+__all__ = ["PathIndex", "VectorModel"]
+
+
+class PathIndex:
+    """Rendered path -> id, decoded once per distinct path.
+
+    Ids ``[0, size)`` are one contiguous :attr:`span` per signal kind,
+    as long as that kind's slot universe (:attr:`slots`: key -> slot,
+    :attr:`keys`: slot -> key), so ``id - span[kind].start`` is the slot
+    the pack stage writes.  A path whose key the topology does not have
+    -- an unknown router or interface -- gets id ``size``.
+
+    Memory is set by the topology, not by what routers send: slotted
+    paths number at most ``size`` (the decode is injective), at most
+    ``OUTSIDE_FACTOR * size`` outside paths are remembered, and any
+    further one is decoded again each time it is seen.
+    """
+
+    OUTSIDE_FACTOR = 2
+
+    def __init__(
+        self,
+        counter_slot: Dict[Tuple[str, str], int],
+        edge_index: Dict[Tuple[str, str], int],
+        node_slot: Dict[str, int],
+    ) -> None:
+        self.span: Dict[SignalKind, slice] = {}
+        self.keys: Dict[SignalKind, tuple] = {}
+        self.slots: Dict[SignalKind, Dict] = {}
+        self.size = 0
+        K = SignalKind
+        for slot_map, kinds in (
+            (counter_slot, (K.RX_RATE, K.TX_RATE)),
+            (edge_index, (K.OPER_STATUS, K.ADMIN_STATUS, K.LINK_DRAIN, K.PROBE)),
+            (node_slot, (K.DRAIN, K.DRAIN_REASON, K.NODE_DROPS)),
+        ):
+            for kind in kinds:
+                self.span[kind] = slice(self.size, self.size + len(slot_map))
+                self.keys[kind] = tuple(slot_map)  # dicts are in slot order
+                self.slots[kind] = slot_map
+                self.size += len(slot_map)
+        self._ids: Dict[str, int] = {}
+        self._outside: Dict[str, Tuple[SignalKind, object]] = {}
+
+    def __len__(self) -> int:
+        """Paths remembered so far, slotted and outside together."""
+        return len(self._ids)
+
+    def _decode(self, path: str) -> Tuple[SignalKind, object, int]:
+        """``(kind, key, id)`` by the reference codec's own parser."""
+        parsed = SignalPath.parse(path)
+        key = parsed.node if parsed.peer is None else (parsed.node, parsed.peer)
+        slot = self.slots[parsed.kind].get(key)
+        start = self.span[parsed.kind].start
+        return parsed.kind, key, self.size if slot is None else start + slot
+
+    def _learn(self, path: str) -> int:
+        kind, key, found = self._decode(path)
+        if found == self.size:
+            if len(self._outside) >= self.OUTSIDE_FACTOR * self.size:
+                return found  # no room: decoded again next time
+            self._outside[path] = (kind, key)
+        self._ids[path] = found
+        return found
+
+    def resolve(
+        self, events: Sequence
+    ) -> Tuple[np.ndarray, Dict[SignalKind, Dict[object, int]]]:
+        """The id of every event's path, and the position of every event
+        outside the universe by kind and key (the last one, if a key
+        has several).
+
+        Raises:
+            PathError: A path matches no registered template.
+        """
+        known = self._ids
+        try:
+            ids = [known[event.path] for event in events]
+        except KeyError:  # first sight of a path, or one not remembered
+            ids = [
+                known[event.path] if event.path in known else self._learn(event.path)
+                for event in events
+            ]
+        ids = np.array(ids, dtype=np.int64)
+        outside: Dict[SignalKind, Dict[object, int]] = {}
+        for position in np.nonzero(ids == self.size)[0].tolist():
+            path = events[position].path
+            kind, key = self._outside.get(path) or self._decode(path)[:2]
+            outside.setdefault(kind, {})[key] = position
+        return ids, outside
 
 
 @dataclass(frozen=True)
@@ -81,6 +176,9 @@ class VectorModel:
             :class:`~repro.core.flow_repair.ConservationSystem`.
         sorted_node_idx: Per sorted router, its insertion-order index.
         sorted_link_idx: Per sorted link name, its cache-order index.
+        path_index: Rendered path -> slot, filled as paths are first
+            seen (the one part of the model that is not immutable; it
+            only ever grows, up to its stated bound).
     """
 
     cache: "TopologyCache"
@@ -103,6 +201,7 @@ class VectorModel:
     conservation_abs: sparse.csr_matrix
     sorted_node_idx: np.ndarray
     sorted_link_idx: np.ndarray
+    path_index: PathIndex
 
     @classmethod
     def from_cache(cls, cache: "TopologyCache") -> "VectorModel":
@@ -211,4 +310,5 @@ class VectorModel:
             conservation_abs=conservation_abs,
             sorted_node_idx=sorted_node_idx,
             sorted_link_idx=sorted_link_idx,
+            path_index=PathIndex(counter_slot, edge_index, node_slot),
         )

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.flow_repair import ConservationSystem
 from repro.net.topology import Link, Topology
@@ -51,7 +51,7 @@ def structural_key(topology: Topology) -> Tuple:
     participate), in name order so construction order does not matter.
     """
     nodes = tuple(sorted((n for n in topology.nodes()), key=lambda n: n.name))
-    links = tuple(sorted(topology.links(), key=lambda link: link.name))
+    links = tuple(map(topology.link, sorted(topology.link_names())))
     return (nodes, links)
 
 
@@ -136,9 +136,11 @@ class TopologyCacheStore:
 
     Keys are :func:`structural_key` tuples, so a lookup on a mutated
     topology misses and builds a fresh cache -- callers never have to
-    invalidate explicitly.  The store counts hits and misses; the
-    engine surfaces them through
-    :class:`~repro.engine.stats.EngineStats`.
+    invalidate explicitly -- and equal-but-distinct topologies share
+    one entry.  A repeat lookup of the *same object* at the same
+    ``version`` skips building the key (a sort plus a hash of every
+    record).  The store counts hits and misses; the engine surfaces
+    them through :class:`~repro.engine.stats.EngineStats`.
 
     Args:
         max_entries: Evict least-recently-used entries beyond this.
@@ -149,6 +151,9 @@ class TopologyCacheStore:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self._max_entries = max_entries
         self._entries: "OrderedDict[Tuple, TopologyCache]" = OrderedDict()
+        #: (topology, its version, its cache) of the latest lookup --
+        #: always the most recently used entry, so never the one evicted.
+        self._latest: Optional[Tuple[Topology, int, TopologyCache]] = None
         self.hits = 0
         self.misses = 0
 
@@ -157,17 +162,26 @@ class TopologyCacheStore:
 
     def get(self, topology: Topology) -> TopologyCache:
         """The cache for this topology, building it on first sight."""
+        latest = self._latest
+        if (
+            latest is not None
+            and latest[0] is topology
+            and latest[1] == topology.version
+        ):
+            self.hits += 1
+            return latest[2]
         key = structural_key(topology)
-        cached = self._entries.get(key)
-        if cached is not None:
+        cache = self._entries.get(key)
+        if cache is not None:
             self.hits += 1
             self._entries.move_to_end(key)
-            return cached
-        self.misses += 1
-        cache = TopologyCache.from_topology(topology)
-        self._entries[key] = cache
-        while len(self._entries) > self._max_entries:
-            self._entries.popitem(last=False)
+        else:
+            self.misses += 1
+            cache = TopologyCache.from_topology(topology)
+            self._entries[key] = cache
+            while len(self._entries) > self._max_entries:
+                self._entries.popitem(last=False)
+        self._latest = (topology, topology.version, cache)
         return cache
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.history.sink import HistorySink
@@ -172,8 +172,7 @@ class ValidationEngine:
         self.history = history
         self.stats = EngineStats(shards=shards, mode=mode, backend=backend)
         self._components: "OrderedDict[str, _Components]" = OrderedDict()
-        self._incremental: "OrderedDict[str, IncrementalValidator]" = OrderedDict()
-        self._vector: "OrderedDict[str, object]" = OrderedDict()
+        self._validators: "OrderedDict[str, object]" = OrderedDict()
         self._model_store = VectorModelStore()
         self._max_component_sets = 32
         self._folder = None
@@ -213,50 +212,41 @@ class ValidationEngine:
             self._components[cache.fingerprint] = components
             while len(self._components) > self._max_component_sets:
                 evicted, _ = self._components.popitem(last=False)
-                self._incremental.pop(evicted, None)
-                self._vector.pop(evicted, None)
+                self._validators.pop(evicted, None)
         else:
             self._components.move_to_end(cache.fingerprint)
         return cache, components
 
-    def _incremental_for(
-        self, cache: TopologyCache, components: _Components
-    ) -> IncrementalValidator:
-        """One memoizing validator per topology fingerprint."""
-        validator = self._incremental.get(cache.fingerprint)
-        if validator is None:
-            validator = IncrementalValidator(
-                self._config, cache, components, self.stats, tracer=self.tracer
-            )
-            self._incremental[cache.fingerprint] = validator
-        else:
-            self._incremental.move_to_end(cache.fingerprint)
-        return validator
+    def _validator_for(self, cache: TopologyCache, components: _Components):
+        """One stateful validator per topology fingerprint.
 
-    def _vector_for(self, cache: TopologyCache, components: _Components):
-        """One array-compiled validator per topology fingerprint.
-
-        The vector validator is internally delta-aware, so it serves
-        both engine modes; the compiled :class:`VectorModel` is shared
-        through :class:`~repro.engine.cache.VectorModelStore` and
-        survives validator eviction.
+        On the vector backend that is the array-compiled validator: it
+        is internally delta-aware, so it serves both engine modes, and
+        its compiled :class:`VectorModel` is shared through
+        :class:`~repro.engine.cache.VectorModelStore` and survives
+        validator eviction.  On python/incremental it is the memoizing
+        per-entity validator.
         """
-        validator = self._vector.get(cache.fingerprint)
-        if validator is None:
+        validator = self._validators.get(cache.fingerprint)
+        if validator is not None:
+            self._validators.move_to_end(cache.fingerprint)
+            return validator
+        if self._backend == "vector":
             from repro.core.vector import VectorValidator
 
-            model = self._model_store.get(cache)
             validator = VectorValidator(
                 self._config,
                 cache,
                 components,
                 self.stats,
                 tracer=self.tracer,
-                model=model,
+                model=self._model_store.get(cache),
             )
-            self._vector[cache.fingerprint] = validator
         else:
-            self._vector.move_to_end(cache.fingerprint)
+            validator = IncrementalValidator(
+                self._config, cache, components, self.stats, tracer=self.tracer
+            )
+        self._validators[cache.fingerprint] = validator
         return validator
 
     def validate(
@@ -272,82 +262,13 @@ class ValidationEngine:
             inputs: The controller inputs under validation.
             topology: Optional reference override for this epoch.
         """
-        reference = topology if topology is not None else self._reference
-        tracer = self.tracer
-        with tracer.span(
-            "epoch", epoch=self.stats.epochs, mode=self._mode, timestamp=snapshot.timestamp
-        ) as epoch_span:
-            total_start = time.perf_counter()
-            hits_before = self.stats.cache_hits
-            cache, components = self._components_for(reference)
-            if tracer.enabled:
-                epoch_span.annotate(cache_hit=self.stats.cache_hits > hits_before)
 
+        def run(cache: TopologyCache, components: _Components) -> ValidationReport:
             if self._backend == "vector" or self._mode == "incremental":
-                # The vector backend serves both modes with one
-                # delta-aware validator; python/incremental keeps the
-                # per-entity memoizing path.
-                validator = (
-                    self._vector_for(cache, components)
-                    if self._backend == "vector"
-                    else self._incremental_for(cache, components)
-                )
-                stage_before = {
-                    stage: self.stats.stage_seconds.get(stage, 0.0) for stage in STAGES
-                }
-                report = validator.validate(snapshot, inputs)
-                self.stats.epochs += 1
-                total_seconds = time.perf_counter() - total_start
-                self.stats.record_stage("total", total_seconds)
-                self._epoch_hist.observe(total_seconds)
-                for stage in STAGES:
-                    self._stage_hist.labels(stage=stage).observe(
-                        self.stats.stage_seconds.get(stage, 0.0) - stage_before[stage]
-                    )
-                self._emit_verdicts(report)
-                self._record_history(report, total_seconds)
-                return report
+                return self._validator_for(cache, components).validate(snapshot, inputs)
+            return self._validate_full(components, snapshot, inputs)
 
-            shard_map = self._shard_map
-            stage_start = time.perf_counter()
-            shard_map.stage_hint = "collect"
-            with tracer.span("collect", category="stage"):
-                collected = components.collector.collect(snapshot, parallel=shard_map)
-            stage_seconds = time.perf_counter() - stage_start
-            self.stats.record_stage("collect", stage_seconds)
-            self._stage_hist.labels(stage="collect").observe(stage_seconds)
-
-            stage_start = time.perf_counter()
-            shard_map.stage_hint = "harden"
-            with tracer.span("harden", category="stage"):
-                hardened = components.hardener.harden(collected, parallel=shard_map)
-            stage_seconds = time.perf_counter() - stage_start
-            self.stats.record_stage("harden", stage_seconds)
-            self._stage_hist.labels(stage="harden").observe(stage_seconds)
-
-            stage_start = time.perf_counter()
-            shard_map.stage_hint = "check"
-            report = ValidationReport(timestamp=snapshot.timestamp, hardened=hardened)
-            with tracer.span("check", category="stage"):
-                Hodor._record(
-                    report,
-                    components.demand.check(inputs.demand, hardened, parallel=shard_map),
-                )
-                Hodor._record(report, components.topology.check(inputs.topology, hardened))
-                Hodor._record(report, components.drain.check(inputs.drains, hardened))
-            stage_seconds = time.perf_counter() - stage_start
-            self.stats.record_stage("check", stage_seconds)
-            self._stage_hist.labels(stage="check").observe(stage_seconds)
-
-            self.stats.epochs += 1
-            total_seconds = time.perf_counter() - total_start
-            self.stats.record_stage("total", total_seconds)
-            self._epoch_hist.observe(total_seconds)
-            self.stats.shard_tasks = self._shard_map.tasks_dispatched
-            self.stats.shard_busy_seconds = self._shard_map.busy_seconds
-            self._emit_verdicts(report)
-            self._record_history(report, total_seconds)
-        return report
+        return self._epoch(snapshot.timestamp, topology, run)
 
     def validate_events(
         self,
@@ -359,17 +280,18 @@ class ValidationEngine:
         """Validate one sealed epoch directly from its update events.
 
         The scatter entry point: sealed epochs from an assembler running
-        with ``build_snapshots=False`` arrive as sorted event buffers;
-        the engine folds them through a persistent
-        :class:`~repro.stream.fold.EventFolder` (one regex decode per
-        *distinct* path for the engine's whole lifetime, then dict
-        lookups) and validates the folded snapshot on the configured
-        mode/backend.  Because folding replicates the reference apply
-        codec object for object, the report -- findings, verdicts, and
-        provenance -- is byte-identical to :meth:`validate` on a
-        snapshot applied the classic way; the scatter differential in
-        ``tests/stream`` enforces this across all four mode/backend
-        combinations.
+        with ``build_snapshots=False`` arrive as sorted event buffers.
+        The vector backend scatters them straight into its slot arrays
+        (no snapshot is built; its collect stage is the pack from
+        events).  The python backend folds them through a persistent
+        :class:`~repro.stream.fold.EventFolder` -- the reference codec,
+        one regex decode per *distinct* path for the engine's lifetime
+        -- and validates the folded snapshot with :meth:`validate`.
+
+        Either way the report -- findings, verdicts, and provenance --
+        is byte-identical to :meth:`validate` on a snapshot applied the
+        classic way; the scatter differential in ``tests/stream``
+        enforces this across all four mode/backend combinations.
 
         Args:
             events: Deduped deliveries in sorted ``(router, uid)`` seal
@@ -378,12 +300,89 @@ class ValidationEngine:
             inputs: The controller inputs under validation.
             topology: Optional reference override for this epoch.
         """
-        if self._folder is None:
-            from repro.stream.fold import EventFolder
+        if self._backend != "vector":
+            if self._folder is None:
+                from repro.stream.fold import EventFolder
 
-            self._folder = EventFolder()
-        snapshot = self._folder.fold(events, timestamp)
-        return self.validate(snapshot, inputs, topology=topology)
+                self._folder = EventFolder()
+            snapshot = self._folder.fold(events, timestamp)
+            return self.validate(snapshot, inputs, topology=topology)
+        return self._epoch(
+            timestamp,
+            topology,
+            lambda cache, components: self._validator_for(cache, components).validate_events(
+                events, timestamp, inputs
+            ),
+        )
+
+    def _epoch(
+        self,
+        timestamp: float,
+        topology: Optional[Topology],
+        run: Callable[[TopologyCache, _Components], ValidationReport],
+    ) -> ValidationReport:
+        """What every epoch shares, whichever way it came in: the epoch
+        span, the topology-cache lookup, and -- around ``run``, which
+        produces the report and records its own stage seconds -- the
+        counters, latency histograms, verdict instants and history write."""
+        reference = topology if topology is not None else self._reference
+        tracer = self.tracer
+        with tracer.span(
+            "epoch", epoch=self.stats.epochs, mode=self._mode, timestamp=timestamp
+        ) as epoch_span:
+            total_start = time.perf_counter()
+            hits_before = self.stats.cache_hits
+            cache, components = self._components_for(reference)
+            if tracer.enabled:
+                epoch_span.annotate(cache_hit=self.stats.cache_hits > hits_before)
+            stage_before = {
+                stage: self.stats.stage_seconds.get(stage, 0.0) for stage in STAGES
+            }
+            report = run(cache, components)
+            self.stats.epochs += 1
+            total_seconds = time.perf_counter() - total_start
+            self.stats.record_stage("total", total_seconds)
+            self._epoch_hist.observe(total_seconds)
+            for stage in STAGES:
+                self._stage_hist.labels(stage=stage).observe(
+                    self.stats.stage_seconds.get(stage, 0.0) - stage_before[stage]
+                )
+            self.stats.shard_tasks = self._shard_map.tasks_dispatched
+            self.stats.shard_busy_seconds = self._shard_map.busy_seconds
+            self._emit_verdicts(report)
+            self._record_history(report, total_seconds)
+        return report
+
+    def _validate_full(
+        self, components: _Components, snapshot: NetworkSnapshot, inputs: ControllerInputs
+    ) -> ValidationReport:
+        """The sharded per-entity pipeline, every stage from scratch."""
+        tracer = self.tracer
+        shard_map = self._shard_map
+        stage_start = time.perf_counter()
+        shard_map.stage_hint = "collect"
+        with tracer.span("collect", category="stage"):
+            collected = components.collector.collect(snapshot, parallel=shard_map)
+        self.stats.record_stage("collect", time.perf_counter() - stage_start)
+
+        stage_start = time.perf_counter()
+        shard_map.stage_hint = "harden"
+        with tracer.span("harden", category="stage"):
+            hardened = components.hardener.harden(collected, parallel=shard_map)
+        self.stats.record_stage("harden", time.perf_counter() - stage_start)
+
+        stage_start = time.perf_counter()
+        shard_map.stage_hint = "check"
+        report = ValidationReport(timestamp=snapshot.timestamp, hardened=hardened)
+        with tracer.span("check", category="stage"):
+            Hodor._record(
+                report,
+                components.demand.check(inputs.demand, hardened, parallel=shard_map),
+            )
+            Hodor._record(report, components.topology.check(inputs.topology, hardened))
+            Hodor._record(report, components.drain.check(inputs.drains, hardened))
+        self.stats.record_stage("check", time.perf_counter() - stage_start)
+        return report
 
     def _record_history(self, report: ValidationReport, elapsed_s: float) -> None:
         """Write one validated epoch through the attached history sink."""

@@ -14,9 +14,10 @@ validation paths and every pair of answers must agree:
    backend (:mod:`repro.core.vector`), whose delta-aware epochs must
    reproduce the per-entity units finding-for-finding.
 4. **Streamed** -- the snapshots are decomposed into per-router feeds
-   (optionally perturbed in-window), re-assembled by the watermark
-   :class:`~repro.stream.assembler.EpochAssembler`, and validated by
-   the ingest pipeline.
+   (optionally perturbed in-window), sealed as event buffers by the
+   watermark :class:`~repro.stream.assembler.EpochAssembler`, and
+   validated by the ingest pipeline on the vector backend: the path
+   every fleet tenant takes.
 
 A verdict or provenance divergence in any mode at any epoch -- or any
 crash while executing the timeline -- is a failure.  The ``hooks``
@@ -192,9 +193,9 @@ class TriModalOracle:
     def _streamed_run(self, spec, epochs, inputs_by_ts) -> List[ValidationReport]:
         hook = self.hooks.get("streamed")
         feeds = make_feeds(epochs, perturb=spec.perturb, seed=spec.perturb_seed)
-        assembler = EpochAssembler(list(feeds), lateness_s=self.lateness_s)
+        assembler = EpochAssembler(list(feeds), lateness_s=self.lateness_s, build_snapshots=False)
         with ValidationEngine(
-            spec.topology, config=spec.hodor_config, mode="full"
+            spec.topology, config=spec.hodor_config, backend="vector"
         ) as engine:
             pipeline = StreamPipeline(
                 list(feeds.values()), assembler, engine, inputs_for=inputs_by_ts

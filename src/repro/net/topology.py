@@ -155,6 +155,9 @@ class Topology:
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[str, Link] = {}
         self._adjacency: Dict[str, Dict[str, str]] = {}
+        #: Bumped by every mutator, so caches keyed on this object can
+        #: tell "same object, unchanged" without re-reading its records.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -168,6 +171,7 @@ class Topology:
             raise TopologyError(f"{EXTERNAL_PEER!r} is reserved")
         self._nodes[node.name] = node
         self._adjacency[node.name] = {}
+        self.version += 1
 
     def add_link(self, link: Link) -> None:
         """Add a link between two existing routers."""
@@ -179,6 +183,7 @@ class Topology:
         self._links[link.name] = link
         self._adjacency[link.a][link.b] = link.name
         self._adjacency[link.b][link.a] = link.name
+        self.version += 1
 
     def remove_link(self, a: str, b: str) -> Link:
         """Remove and return the link between ``a`` and ``b``."""
@@ -188,6 +193,7 @@ class Topology:
         del self._links[link.name]
         del self._adjacency[a][b]
         del self._adjacency[b][a]
+        self.version += 1
         return link
 
     def replace_node(self, node: Node) -> None:
@@ -195,12 +201,14 @@ class Topology:
         if node.name not in self._nodes:
             raise TopologyError(f"unknown node {node.name!r}")
         self._nodes[node.name] = node
+        self.version += 1
 
     def replace_link(self, link: Link) -> None:
         """Replace an existing link's record (e.g. to flip drain state)."""
         if link.name not in self._links:
             raise TopologyError(f"unknown link {link.name}")
         self._links[link.name] = link
+        self.version += 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -233,6 +241,10 @@ class Topology:
 
     def links(self) -> List[Link]:
         return list(self._links.values())
+
+    def link_names(self) -> List[str]:
+        """Canonical link names in insertion order (no per-link sort)."""
+        return list(self._links)
 
     def neighbors(self, node: str) -> List[str]:
         if node not in self._adjacency:

@@ -19,13 +19,13 @@ applied one.  The scatter differential in
 byte-identical validation reports and provenance across every engine
 mode/backend combination.
 
-This is the seam that lets the ingest pipeline run with
-``build_snapshots=False`` on the assembler: sealed epochs carry their
-sorted event buffers instead of pre-applied snapshots, and
+This is the reference codec of the ``build_snapshots=False`` seal
+path: sealed epochs carry their sorted event buffers instead of
+pre-applied snapshots, and on the python backend
 :meth:`~repro.engine.ValidationEngine.validate_events` folds them
-through this cache straight into the family dicts the
-:class:`~repro.core.vector.model.VectorModel` pack stage scatters into
-its slot arrays.
+through this cache.  The vector backend packs the same events straight
+into its slot arrays (``VectorValidator.validate_events``) and is held
+to this fold's result, falling back to it for shapes it cannot prove.
 """
 
 from __future__ import annotations

@@ -479,8 +479,8 @@ class StreamPipeline:
         ) as span, _collector_paused():
             if epoch.snapshot is None:
                 # Scatter path: the assembler sealed events only; the
-                # engine's cached decoder folds them without re-parsing
-                # a single path string.
+                # engine packs them (vector) or folds them (python)
+                # without re-parsing a single path string.
                 report = self._engine.validate_events(
                     epoch.events, epoch.timestamp, inputs, topology=self._topology
                 )

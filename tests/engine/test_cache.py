@@ -117,3 +117,59 @@ class TestTopologyCacheStore:
     def test_rejects_zero_capacity_store(self):
         with pytest.raises(ValueError):
             TopologyCacheStore(max_entries=0)
+
+    def test_repeat_lookup_of_one_object_builds_the_key_once(self, monkeypatch):
+        import repro.engine.cache as cache_module
+
+        built = []
+        real = cache_module.structural_key
+        monkeypatch.setattr(
+            cache_module, "structural_key", lambda topo: built.append(topo) or real(topo)
+        )
+        store = TopologyCacheStore()
+        topo = small_topology()
+        first = store.get(topo)
+        built.clear()  # the miss built the key (and the fingerprint from it)
+        assert all(store.get(topo) is first for _ in range(3))
+        assert built == []
+        assert (store.hits, store.misses) == (3, 1)
+        # An equal-but-distinct topology still shares the entry, by key.
+        assert store.get(small_topology()) is first
+        assert len(built) == 1 and len(store) == 1
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda topo: topo.add_node(Node("d")),
+            lambda topo: topo.add_link(Link("a", "c")),
+            lambda topo: topo.remove_link("a", "b"),
+            lambda topo: topo.replace_node(Node("b", drained=True)),
+            lambda topo: topo.replace_link(Link("a", "b", capacity=99.0)),
+        ],
+        ids=["add_node", "add_link", "remove_link", "replace_node", "replace_link"],
+    )
+    def test_every_mutator_makes_the_same_object_miss(self, mutate):
+        store = TopologyCacheStore()
+        topo = small_topology()
+        before = store.get(topo)
+        version = topo.version
+        mutate(topo)
+        assert topo.version == version + 1
+        after = store.get(topo)
+        assert after is not before
+        assert after.fingerprint == topology_fingerprint(topo) != before.fingerprint
+        assert (store.hits, store.misses) == (0, 2)
+
+    def test_latest_entry_survives_eviction_of_older_ones(self):
+        store = TopologyCacheStore(max_entries=1)
+        first, second = small_topology(capacity=1.0), small_topology(capacity=2.0)
+        store.get(first)
+        cache = store.get(second)  # evicts ``first``
+        assert store.get(second) is cache
+        store.get(first)
+        assert (store.hits, store.misses) == (1, 3)
+
+
+def test_link_names_follow_insertion_order_and_match_link_name():
+    topo = small_topology()
+    assert topo.link_names() == [link.name for link in topo.links()] == ["a~b", "b~c"]

@@ -146,7 +146,7 @@ def test_reset_reprimes_from_scratch():
     with ValidationEngine(topology, mode="incremental") as engine:
         engine.validate(snapshot, inputs)
         primed = engine.stats.total_entities_recomputed
-        for validator in engine._incremental.values():
+        for validator in engine._validators.values():
             validator.reset()
         report = engine.validate(snapshot, inputs)
         _assert_matches(serial, report, "post-reset")
