@@ -9,11 +9,10 @@ pushes the backend past the sizes the python path can sustain:
 - **E9 shape** (steady replay, 80 nodes): the identical snapshot
   object replayed every epoch, the always-on engine's baseline
   workload.  Acceptance bar: the vector backend is >= 10x faster per
-  epoch than the python full path.
-- **E13 shape** (10% link churn, 80 nodes): the production steady
+  epoch than the python backend.
+- **Churn shape** (10% link churn, 80 nodes): the production steady
   state between two 30-second collections.  Acceptance bar: >= 4x
-  (measured ~7x; the per-entity incremental mode's own bar on this
-  stream is 3x).
+  (measured ~7x).
 - **Scale sweep** (200 / 500 / 1000 nodes, 10% churn): epochs/s and
   per-epoch p99 for the vector backend, with a bounded python
   reference column (one timed epoch) -- the sweep's acceptance bar is
@@ -77,8 +76,7 @@ def test_vector_acceptance_at_80(benchmark, write_result):
 
     churned_80 = rows[-1]
     assert churned_80.nodes == 80 and churned_80.churn == 0.10
-    # E13 shape: >= 4x against the python FULL path (the incremental
-    # mode's own bar on this stream is 3x against the same baseline).
+    # Churn shape: >= 4x against the python backend.
     assert churned_80.speedup >= 4.0, (
         f"vector churn speedup {churned_80.speedup:.2f}x < 4x"
     )

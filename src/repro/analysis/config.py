@@ -2,7 +2,7 @@
 
 Everything the rules key off -- which directories count as pipeline
 "core", which function names are per-entity units, where the
-incremental registry lives -- is data here, not constants buried in
+vector backend lives -- is data here, not constants buried in
 rule code.  The self-tests point a :class:`LintConfig` at fixture
 trees to exercise every rule against known-good and known-bad code
 without touching the live tree.
@@ -150,14 +150,12 @@ class LintConfig:
             untroubled runs -- collapses if digests, admission
             decisions, or dispatch order pick up wall time or global
             RNG.
-        incremental_path: POSIX-relative path (from the lint root) of
-            the module that must wire every per-entity unit (C1).
         vector_path: POSIX-relative path (from the lint root) of the
-            array-compiled backend module.  C1 extends to three-way
-            parity: every per-entity unit must also be accounted for
-            there -- dispatched on the exceptional path, or named in
-            the module's replacement manifest (its docstring) where
-            the unit is replicated as array math.  Missing module ==
+            array-compiled backend module.  C1 is serial/vector parity:
+            every per-entity unit must be accounted for there --
+            dispatched on the exceptional path, or named in the
+            module's replacement manifest (its docstring) where the
+            unit is replicated as array math.  Missing module ==
             vacuously satisfied, so fixture trees without a vector
             backend stay clean.
         enabled_codes: Rule codes to run; empty means all.
@@ -206,7 +204,6 @@ class LintConfig:
     core_dirs: FrozenSet[str] = frozenset(
         {"core", "engine", "fleet", "fuzz", "history", "obs", "stream"}
     )
-    incremental_path: str = "engine/incremental.py"
     vector_path: str = "core/vector/backend.py"
     enabled_codes: FrozenSet[str] = frozenset()
     wall_clock_allowed: FrozenSet[str] = frozenset(
@@ -289,7 +286,6 @@ class LintConfig:
         canonical = {
             "entity_patterns": list(self.entity_patterns),
             "core_dirs": sorted(self.core_dirs),
-            "incremental_path": self.incremental_path,
             "vector_path": self.vector_path,
             "enabled_codes": sorted(self.enabled_codes),
             "wall_clock_allowed": sorted(self.wall_clock_allowed),

@@ -1,29 +1,24 @@
-"""C1: full/incremental/vector registry parity.
+"""C1: serial/vector registry parity.
 
-The incremental engine and the array-compiled vector backend are only
-equivalent to the full pipeline if all three agree on *coverage*: every
-per-entity unit the serial stages run must be wired into
-:mod:`repro.engine.incremental` and accounted for in
-:mod:`repro.core.vector.backend`, and everything those paths dispatch
-must exist as a real unit.  A stage added to one side but not the
-others silently diverges the reports -- the exact bug class the
-differential harness can only catch per-input, while this rule catches
-it structurally on every commit.
+The array-compiled vector backend is only equivalent to the serial
+pipeline if both agree on *coverage*: every per-entity unit the serial
+stages run must be accounted for in :mod:`repro.core.vector.backend`,
+and everything that backend dispatches must exist as a real unit.  A
+stage added to one side but not the other silently diverges the
+reports -- the exact bug class the differential harness can only catch
+per-input, while this rule catches it structurally on every commit.
 
 Checks, all driven by :class:`~repro.analysis.config.LintConfig`
-(``entity_patterns`` + ``incremental_path`` + ``vector_path``):
+(``entity_patterns`` + ``vector_path``):
 
 1. every entity-pattern function defined under a core directory is
-   referenced in the incremental module;
-2. every such function is also referenced inside its *own* module
-   beyond the ``def`` itself (the serial path must call it too);
-3. every entity-pattern attribute/name the incremental module
-   references resolves to a defined unit somewhere in the project;
-4. every entity-pattern function appears in the vector backend's
-   *source text* -- as an exceptional-path dispatch, or named in the
-   replacement manifest (the module docstring) where the unit has an
-   array-math twin instead of a call site;
-5. every entity-pattern AST reference the vector backend makes
+   referenced inside its *own* module beyond the ``def`` itself (the
+   serial path must call it);
+2. every such function appears in the vector backend's *source text*
+   -- as an exceptional-path dispatch, or named in the replacement
+   manifest (the module docstring) where the unit has an array-math
+   twin instead of a call site;
+3. every entity-pattern AST reference the vector backend makes
    resolves to a defined unit (no ghost dispatches).
 """
 
@@ -42,14 +37,13 @@ class RegistryParityRule:
     """Project-scoped C1 rule (runs once over every module together)."""
 
     code = "C1"
-    title = "per-entity unit missing from the full, incremental, or vector registry"
+    title = "per-entity unit missing from the serial or vector registry"
     severity = Severity.ERROR
     rationale = (
-        "Full, incremental, and vector validation must cover the same "
-        "checks: a per-entity unit that only some of the paths run (or a "
-        "dispatch with no defined unit behind it) silently breaks report "
-        "parity in a way no per-input differential test is guaranteed to "
-        "hit."
+        "Serial and vector validation must cover the same checks: a "
+        "per-entity unit that only one of the paths runs (or a dispatch "
+        "with no defined unit behind it) silently breaks report parity in "
+        "a way no per-input differential test is guaranteed to hit."
     )
 
     def check(
@@ -70,37 +64,23 @@ class RegistryParityRule:
         parity keeps cross-file soundness without re-parsing them.
         """
         by_relpath = {facts.relpath: facts for facts in facts_list}
-        incremental = by_relpath.get(config.incremental_path)
-        if incremental is None:
-            # Nothing to compare against (e.g. a fixture tree without an
-            # engine); registry parity is vacuously satisfied.
+        vector = by_relpath.get(config.vector_path)
+        if vector is None:
+            # Nothing to compare against (e.g. a fixture tree without a
+            # vector backend); registry parity is vacuously satisfied.
             return
 
         # name -> (relpath, line, col); first definition in discovery
         # order wins, matching the original tree walk.
         defs: Dict[str, Tuple[str, int, int]] = {}
         for facts in facts_list:
-            if facts.relpath == config.incremental_path:
-                continue
             if not config.is_core_path(facts.relpath):
                 continue
             for name, line, col in facts.entity_defs:
                 defs.setdefault(name, (facts.relpath, line, col))
 
-        incremental_refs: Dict[str, Tuple[int, int]] = {}
-        for name, line, col in incremental.entity_refs:
-            incremental_refs.setdefault(name, (line, col))
-
+        vector_words = set(vector.entity_words)
         for name, (relpath, line, col) in sorted(defs.items()):
-            if name not in incremental_refs:
-                yield self._diagnostic(
-                    relpath,
-                    line,
-                    col,
-                    f"per-entity unit {name}() is never referenced in "
-                    f"{config.incremental_path}; wire it into the "
-                    "incremental registry or it only runs on the full path",
-                )
             own_refs = {ref for ref, _, _ in by_relpath[relpath].entity_refs}
             if name not in own_refs:
                 yield self._diagnostic(
@@ -108,25 +88,9 @@ class RegistryParityRule:
                     line,
                     col,
                     f"per-entity unit {name}() is not exercised by the "
-                    "serial pipeline in its own module; the full path must "
-                    "run every unit the incremental path reuses",
+                    "serial pipeline in its own module; the serial path must "
+                    "run every unit the vector backend replaces",
                 )
-
-        for name, (line, col) in sorted(incremental_refs.items()):
-            if name not in defs:
-                yield self._diagnostic(
-                    config.incremental_path,
-                    line,
-                    col,
-                    f"incremental registry references {name}(), but no "
-                    "per-entity unit with that name is defined in the core",
-                )
-
-        vector = by_relpath.get(config.vector_path)
-        if vector is None:
-            return
-        vector_words = set(vector.entity_words)
-        for name, (relpath, line, col) in sorted(defs.items()):
             if name not in vector_words:
                 yield self._diagnostic(
                     relpath,
@@ -136,6 +100,7 @@ class RegistryParityRule:
                     f"{config.vector_path}; dispatch it on the exceptional "
                     "path or name it in the replacement manifest",
                 )
+
         vector_refs: Dict[str, Tuple[int, int]] = {}
         for name, line, col in vector.entity_refs:
             vector_refs.setdefault(name, (line, col))

@@ -1,6 +1,6 @@
 """Parameter-taint dataflow for the P1 purity rule.
 
-The incremental engine reuses a per-entity unit's *previous output
+The vector backend reuses a per-entity unit's *previous output
 object* verbatim whenever its inputs did not change; that is only
 sound if the unit never mutates its arguments (or anything reachable
 from them).  This module answers "could this expression alias a

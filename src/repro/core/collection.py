@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import HodorConfig
 from repro.core.drain_reasons import parse_reason
-from repro.core.parallel import SliceParallel, map_slices
 from repro.core.signals import (
     CollectedCounter,
     CollectedState,
@@ -61,19 +60,10 @@ class SignalCollector:
     def __init__(self, config: Optional[HodorConfig] = None) -> None:
         self._config = config or HodorConfig()
 
-    def collect(
-        self, snapshot: NetworkSnapshot, parallel: SliceParallel = None
-    ) -> CollectedState:
-        """Coerce every signal in the snapshot into typed form.
-
-        Args:
-            snapshot: The raw telemetry snapshot.
-            parallel: Optional slice-parallel executor (see
-                :mod:`repro.core.parallel`); ``None`` runs the serial
-                reference path.
-        """
+    def collect(self, snapshot: NetworkSnapshot) -> CollectedState:
+        """Coerce every signal in the snapshot into typed form."""
         state = CollectedState(timestamp=snapshot.timestamp)
-        self._collect_counters(snapshot, state, parallel)
+        self._collect_counters(snapshot, state)
         self._collect_statuses(snapshot, state)
         self._collect_drains(snapshot, state)
         self._collect_drops(snapshot, state)
@@ -82,28 +72,18 @@ class SignalCollector:
 
     # ------------------------------------------------------------------
 
-    def _collect_counters(
-        self,
-        snapshot: NetworkSnapshot,
-        state: CollectedState,
-        parallel: SliceParallel = None,
-    ) -> None:
-        keys = sorted(snapshot.counters)
-        for counters, findings in map_slices(
-            parallel,
-            lambda slice_keys: self.collect_counter_slice(snapshot, slice_keys),
-            keys,
-        ):
-            state.counters.update(counters)
-            state.findings.extend(findings)
+    def _collect_counters(self, snapshot: NetworkSnapshot, state: CollectedState) -> None:
+        counters, findings = self.collect_counter_slice(snapshot, sorted(snapshot.counters))
+        state.counters.update(counters)
+        state.findings.extend(findings)
 
     def collect_counter_slice(
         self, snapshot: NetworkSnapshot, keys: Sequence[Tuple[str, str]]
     ) -> Tuple[Dict[Tuple[str, str], CollectedCounter], List[Finding]]:
         """Counter coercion over one contiguous slice of counter keys.
 
-        The slice worker behind :meth:`collect`; the serial path calls
-        it once with every (sorted) key, the engine once per shard.
+        The slice worker behind :meth:`collect`, which calls it once
+        with every (sorted) key.
         """
         counters: Dict[Tuple[str, str], CollectedCounter] = {}
         findings: List[Finding] = []
@@ -124,9 +104,8 @@ class SignalCollector:
         """Coerce one interface's counter reading (pure per-entity unit).
 
         Depends only on the snapshot timestamp and this one reading, so
-        the incremental engine reuses its output verbatim whenever the
-        :class:`~repro.telemetry.delta.SnapshotDelta` says the reading
-        did not change.
+        the vector backend reuses its output verbatim whenever the
+        reading did not change.
         """
         subject = f"{key[0]}->{key[1]}"
         if snapshot_timestamp - reading.timestamp > self._config.max_staleness_s:

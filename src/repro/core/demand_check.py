@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core.config import HodorConfig
 from repro.core.invariants import CheckResult, Invariant, InvariantResult
-from repro.core.parallel import SliceParallel, map_slices
 from repro.core.signals import HardenedState
 from repro.net.demand import DemandMatrix
 
@@ -61,12 +60,7 @@ class DemandChecker:
         self._config = config or HodorConfig()
         self._cache = cache
 
-    def check(
-        self,
-        demand: DemandMatrix,
-        hardened: HardenedState,
-        parallel: SliceParallel = None,
-    ) -> CheckResult:
+    def check(self, demand: DemandMatrix, hardened: HardenedState) -> CheckResult:
         """Evaluate the 2v demand invariants.
 
         Routers present in the hardened state but absent from the
@@ -77,9 +71,6 @@ class DemandChecker:
         Args:
             demand: The demand matrix under validation.
             hardened: Step-2 output for this epoch.
-            parallel: Optional slice-parallel executor (see
-                :mod:`repro.core.parallel`); ``None`` runs the serial
-                reference path.
         """
         result = CheckResult(input_name="demand")
         floor = max(self._config.rate_floor, self._config.active_threshold)
@@ -88,14 +79,11 @@ class DemandChecker:
         if total_dropped > floor:
             result.notes.append(self.dropped_note(total_dropped))
 
-        hardened_nodes = self._hardened_nodes(hardened)
-        for invariants, notes in map_slices(
-            parallel,
-            lambda nodes: self.check_node_slice(demand, hardened, nodes, total_dropped),
-            hardened_nodes,
-        ):
-            result.results.extend(invariants)
-            result.notes.extend(notes)
+        invariants, notes = self.check_node_slice(
+            demand, hardened, self._hardened_nodes(hardened), total_dropped
+        )
+        result.results.extend(invariants)
+        result.notes.extend(notes)
 
         skipped = result.num_skipped
         if skipped:
@@ -131,8 +119,8 @@ class DemandChecker:
     ) -> Tuple[List[InvariantResult], List[str]]:
         """Row/col-sum invariants for one contiguous slice of routers.
 
-        The slice worker behind :meth:`check`; the serial path calls it
-        once with every router, the engine once per shard.
+        The slice worker behind :meth:`check`, which calls it once with
+        every router.
         """
         invariants: List[InvariantResult] = []
         notes: List[str] = []
@@ -156,7 +144,7 @@ class DemandChecker:
         Depends on the demand matrix, this router's hardened external
         counters, and the network-wide ``total_dropped`` (which widens
         the egress tolerance) -- a change to any of those dirties the
-        node in incremental mode.
+        node on the vector backend.
         """
         tau_e = self._config.tau_e
         floor = max(self._config.rate_floor, self._config.active_threshold)

@@ -31,7 +31,6 @@ from repro.core.config import HodorConfig
 from repro.core.drain_reasons import reason_allows_traffic
 from repro.core.flow_repair import ConservationSolveCache
 from repro.core.link_status import LinkEvidence, combine_link_evidence
-from repro.core.parallel import SliceParallel, map_slices
 from repro.core.signals import (
     CollectedState,
     Confidence,
@@ -92,20 +91,15 @@ class Hardener:
             cache = TopologyCache.from_topology(reference)
         self._cache = cache
 
-    def harden(
-        self, collected: CollectedState, parallel: SliceParallel = None
-    ) -> HardenedState:
+    def harden(self, collected: CollectedState) -> HardenedState:
         """Produce the trusted low-level view of the network.
 
         Args:
             collected: Step-1 output for this epoch.
-            parallel: Optional slice-parallel executor (see
-                :mod:`repro.core.parallel`); ``None`` runs the serial
-                reference path.
         """
         state = HardenedState()
         state.findings.extend(collected.findings)
-        self._harden_flows(collected, state, parallel)
+        self._harden_flows(collected, state)
         self.repair_flows(collected, state)
         self._harden_link_status(collected, state)
         self._harden_drains(collected, state)
@@ -116,37 +110,24 @@ class Hardener:
     # Step 2a: R1 detection over counters
     # ------------------------------------------------------------------
 
-    def _harden_flows(
-        self,
-        collected: CollectedState,
-        state: HardenedState,
-        parallel: SliceParallel = None,
-    ) -> None:
-        for flows, findings in map_slices(
-            parallel,
-            lambda edges: self.harden_flow_slice(collected, edges),
-            self._cache.directed_edges,
-        ):
-            state.edge_flows.update(flows)
-            state.findings.extend(findings)
+    def _harden_flows(self, collected: CollectedState, state: HardenedState) -> None:
+        flows, findings = self.harden_flow_slice(collected, self._cache.directed_edges)
+        state.edge_flows.update(flows)
+        state.findings.extend(findings)
 
-        for ext_in, ext_out, drops, findings in map_slices(
-            parallel,
-            lambda nodes: self.harden_external_slice(collected, nodes),
-            self._cache.nodes,
-        ):
-            state.ext_in.update(ext_in)
-            state.ext_out.update(ext_out)
-            state.drops.update(drops)
-            state.findings.extend(findings)
+        ext_in, ext_out, drops, findings = self.harden_external_slice(collected, self._cache.nodes)
+        state.ext_in.update(ext_in)
+        state.ext_out.update(ext_out)
+        state.drops.update(drops)
+        state.findings.extend(findings)
 
     def harden_flow_slice(
         self, collected: CollectedState, edges: Sequence[Tuple[str, str]]
     ) -> Tuple[Dict[Tuple[str, str], HardenedValue], List[Finding]]:
         """R1 symmetry over one contiguous slice of directed edges.
 
-        The slice worker behind :meth:`harden`; the serial path calls
-        it once with every edge, the engine once per shard.
+        The slice worker behind :meth:`harden`, which calls it once
+        with every edge.
         """
         findings: List[Finding] = []
         flows: Dict[Tuple[str, str], HardenedValue] = {}
@@ -162,8 +143,8 @@ class Hardener:
         """R1 symmetry for one directed edge (pure per-entity unit).
 
         Reads only the two interface counters measuring this edge, so
-        the incremental engine reuses its output whenever neither
-        counter changed.
+        the vector backend reuses its output whenever neither counter
+        changed.
         """
         findings: List[Finding] = []
         tx_side = collected.counter(src, dst)
@@ -302,7 +283,7 @@ class Hardener:
         Returns:
             The :data:`~repro.core.flow_repair.VarKey` of every unknown
             a repaired value was actually written for, in emission
-            order -- the incremental engine's dirty-propagation seed.
+            order -- the vector backend's dirty-propagation seed.
         """
         if not self._config.enable_repair:
             return ()
@@ -327,7 +308,7 @@ class Hardener:
         if not result.is_consistent(self._config.repair_residual_tol):
             # In-place repair IS repair_flows()'s documented contract:
             # it upgrades `state` and reports what it wrote.  The
-            # incremental engine accounts for this by re-running repair
+            # vector backend accounts for this by re-running repair
             # whenever any of its inputs is dirty (never reusing a
             # mutated state across epochs).
             state.findings.append(  # lint: ignore[P1]

@@ -161,9 +161,9 @@ def _bit(value: Optional[bool]) -> int:
 def _neq(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[np.ndarray]:
     """Elementwise "signature moved" mask; NaN equals NaN.
 
-    Exact bit comparison is the reuse guard's contract (see the
-    incremental validator): a spurious difference costs a recompute,
-    a tolerance could reuse stale output and break parity.  Returns
+    Exact bit comparison is the reuse guard's contract: a spurious
+    difference costs a recompute, a tolerance could reuse stale output
+    and break parity.  Returns
     ``None`` (nothing moved) when both operands are the same array.
     """
     if a is b:
@@ -246,12 +246,10 @@ class _CollectedView:
 class VectorValidator:
     """Array-compiled epoch validation for one topology fingerprint.
 
-    Drop-in sibling of :class:`~repro.engine.incremental.IncrementalValidator`:
-    same constructor shape, same ``validate``/``reset`` surface, same
-    stage spans and stats, identical reports.  Internally every epoch
-    is evaluated on the compiled arrays with cross-epoch object reuse
-    keyed on exact value signatures, so cost tracks churn regardless
-    of the engine mode it is mounted under.
+    Same stage spans, stats and reports as the serial per-entity
+    pipeline.  Every epoch is evaluated on the compiled arrays with
+    cross-epoch object reuse keyed on exact value signatures, so cost
+    tracks churn.
 
     Args:
         config: Pipeline configuration.
@@ -261,7 +259,7 @@ class VectorValidator:
             exception path and the differential oracle.
         stats: Engine counters; stage timings and reuse counts land here.
         tracer: Optional tracer; stage spans are annotated with
-            recomputed/reused entity counts like the incremental path.
+            recomputed/reused entity counts.
         model: Precompiled :class:`VectorModel` (from
             :class:`~repro.engine.cache.VectorModelStore`); compiled
             on the spot when omitted.

@@ -7,15 +7,11 @@ provides the streaming counterpart to the one-shot
 
 - :mod:`repro.engine.cache` -- topology-derived structures built once
   per distinct topology and memoized behind a structural fingerprint;
-- :mod:`repro.engine.sharding` -- ordered slice-sharding of the
-  per-signal pipeline stages over a thread pool;
-- :mod:`repro.engine.runner` -- :class:`ValidationEngine`, which ties
-  the two together and streams epochs through the pipeline;
-- :mod:`repro.engine.incremental` -- the delta-aware epoch path
-  (``mode="incremental"``) that diffs consecutive snapshots and reuses
-  every per-entity verdict whose inputs did not change;
+- :mod:`repro.engine.runner` -- :class:`ValidationEngine`, which
+  streams epochs through the array-compiled vector backend
+  (:mod:`repro.core.vector`) or the serial per-entity reference;
 - :mod:`repro.engine.stats` -- observable counters (epochs, cache
-  hits, stage timings, shard utilisation, entity reuse);
+  hits, stage timings, entity reuse) and their Prometheus projection;
 - :mod:`repro.engine.diff` -- the report comparator backing the
   differential test harness that proves engine output identical to
   the serial path.
@@ -28,10 +24,8 @@ from repro.engine.cache import (
     topology_fingerprint,
 )
 from repro.engine.diff import compare_reports
-from repro.engine.incremental import IncrementalValidator
 from repro.engine.runner import EpochInput, ValidationEngine
-from repro.engine.sharding import ShardMap, split_slices
-from repro.engine.stats import EngineStats
+from repro.engine.stats import EngineStats, engine_registry
 
 __all__ = [
     "TopologyCache",
@@ -39,10 +33,8 @@ __all__ = [
     "structural_key",
     "topology_fingerprint",
     "compare_reports",
-    "IncrementalValidator",
     "EpochInput",
     "ValidationEngine",
-    "ShardMap",
-    "split_slices",
     "EngineStats",
+    "engine_registry",
 ]

@@ -8,18 +8,17 @@ It keeps three things alive across validation passes:
    on an unchanged topology reuses the memoized topology-derived
    structures (directed-edge order, incidence maps, conservation
    equation blocks) instead of rebuilding them.
-2. A :class:`~repro.engine.sharding.ShardMap`, which slices the
-   per-signal pipeline stages (counter collection, R1 symmetry, the
-   per-router demand invariants) across a thread pool.  Slices are
-   contiguous and merged in order, so the engine's reports are
+2. On the vector backend, one delta-aware
+   :class:`~repro.core.vector.VectorValidator` per topology, so an
+   epoch's cost tracks how much of the network moved.  Its reports are
    *identical* to the serial path's -- the differential harness in
    ``tests/engine`` asserts this verdict for verdict.
 3. :class:`~repro.engine.stats.EngineStats` counters: epochs, cache
-   hits/misses, per-stage wall time, shard utilisation.
+   hits/misses, per-stage wall time, entity reuse.
 
 Example:
     >>> from repro.engine import ValidationEngine
-    >>> engine = ValidationEngine(topology, shards=4)
+    >>> engine = ValidationEngine(topology, backend="vector")
     >>> for epoch in timeline:
     ...     report = engine.validate(epoch.snapshot, epoch.inputs)
     >>> engine.stats.cache_hits   # doctest: +SKIP
@@ -34,6 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.vector import VectorValidator
     from repro.history.sink import HistorySink
 
 from repro.control.inputs import ControllerInputs
@@ -46,8 +46,6 @@ from repro.core.pipeline import Hodor
 from repro.core.report import ValidationReport
 from repro.core.topology_check import TopologyChecker
 from repro.engine.cache import TopologyCache, TopologyCacheStore, VectorModelStore
-from repro.engine.incremental import IncrementalValidator
-from repro.engine.sharding import ShardMap
 from repro.engine.stats import STAGES, EngineStats
 from repro.net.topology import Topology
 from repro.obs.metrics import MetricsRegistry
@@ -92,33 +90,25 @@ class _Components:
 
 
 class ValidationEngine:
-    """Streaming multi-epoch validation with sharding and caching.
+    """Streaming multi-epoch validation with caching.
 
     Args:
         reference: The design-time network model epochs default to.
         config: Thresholds and options; defaults follow the paper.
-        shards: Contiguous slices per sharded pipeline stage; ``1``
-            runs every stage inline (serial-equivalent, zero pool
-            overhead).
         cache_store: Optional shared topology-cache store; one is
             created when omitted.  Sharing a store across engines
             shares the memoized topology structures.
-        mode: ``"full"`` recomputes every epoch from scratch (sharded);
-            ``"incremental"`` diffs each snapshot against the previous
-            epoch and reuses every per-entity verdict whose inputs did
-            not change (see :mod:`repro.engine.incremental`).  Both
-            produce identical reports.
-        backend: ``"python"`` runs the per-entity reference units;
-            ``"vector"`` evaluates epochs on the array-compiled
-            topology model (see :mod:`repro.core.vector`), which is
-            internally delta-aware, so both modes route to the same
-            vector validator.  All four mode/backend combinations
+        backend: ``"vector"`` evaluates epochs on the array-compiled
+            topology model (see :mod:`repro.core.vector`), reusing every
+            per-entity result whose inputs did not move -- the
+            production path.  ``"python"`` runs the serial per-entity
+            units from scratch every epoch -- the reference.  Both
             produce identical reports (the differential harness and the
             fuzz oracle enforce this).
         tracer: Optional :class:`repro.obs.trace.Tracer`.  When given,
-            every epoch records a span tree (epoch -> stage -> shard
-            slices, plus per-verdict provenance instants).  Defaults to
-            the allocation-free :class:`~repro.obs.trace.NullTracer`.
+            every epoch records a span tree (epoch -> stage, plus
+            per-verdict provenance instants).  Defaults to the
+            allocation-free :class:`~repro.obs.trace.NullTracer`.
         metrics: Optional shared
             :class:`repro.obs.metrics.MetricsRegistry` to record the
             epoch/stage latency histograms into; one is created when
@@ -130,23 +120,18 @@ class ValidationEngine:
             the stream pipeline, not both, or epochs record twice.
     """
 
-    _MODES = ("full", "incremental")
     _BACKENDS = ("python", "vector")
 
     def __init__(
         self,
         reference: Topology,
         config: Optional[HodorConfig] = None,
-        shards: int = 1,
         cache_store: Optional[TopologyCacheStore] = None,
-        mode: str = "full",
         backend: str = "python",
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
         history: Optional["HistorySink"] = None,
     ) -> None:
-        if mode not in self._MODES:
-            raise ValueError(f"unknown engine mode {mode!r}; expected one of {self._MODES}")
         if backend not in self._BACKENDS:
             raise ValueError(
                 f"unknown engine backend {backend!r}; expected one of {self._BACKENDS}"
@@ -154,11 +139,8 @@ class ValidationEngine:
         self._reference = reference
         self._config = config or HodorConfig()
         self._store = cache_store or TopologyCacheStore()
-        self._shard_map = ShardMap(shards=shards)
-        self._mode = mode
         self._backend = backend
         self.tracer = tracer if tracer is not None else NullTracer()
-        self._shard_map.tracer = self.tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._epoch_hist = self.metrics.histogram(
             "engine_epoch_latency_seconds",
@@ -170,9 +152,9 @@ class ValidationEngine:
             labels=("stage",),
         )
         self.history = history
-        self.stats = EngineStats(shards=shards, mode=mode, backend=backend)
+        self.stats = EngineStats(backend=backend)
         self._components: "OrderedDict[str, _Components]" = OrderedDict()
-        self._validators: "OrderedDict[str, object]" = OrderedDict()
+        self._validators: "OrderedDict[str, VectorValidator]" = OrderedDict()
         self._model_store = VectorModelStore()
         self._max_component_sets = 32
         self._folder = None
@@ -180,10 +162,6 @@ class ValidationEngine:
     @property
     def config(self) -> HodorConfig:
         return self._config
-
-    @property
-    def mode(self) -> str:
-        return self._mode
 
     @property
     def backend(self) -> str:
@@ -217,35 +195,28 @@ class ValidationEngine:
             self._components.move_to_end(cache.fingerprint)
         return cache, components
 
-    def _validator_for(self, cache: TopologyCache, components: _Components):
-        """One stateful validator per topology fingerprint.
-
-        On the vector backend that is the array-compiled validator: it
-        is internally delta-aware, so it serves both engine modes, and
-        its compiled :class:`VectorModel` is shared through
+    def _validator_for(
+        self, cache: TopologyCache, components: _Components
+    ) -> "VectorValidator":
+        """The vector backend's stateful validator, one per topology
+        fingerprint.  Its compiled :class:`VectorModel` is shared through
         :class:`~repro.engine.cache.VectorModelStore` and survives
-        validator eviction.  On python/incremental it is the memoizing
-        per-entity validator.
-        """
+        validator eviction."""
         validator = self._validators.get(cache.fingerprint)
         if validator is not None:
             self._validators.move_to_end(cache.fingerprint)
             return validator
-        if self._backend == "vector":
-            from repro.core.vector import VectorValidator
+        # Imported on first use: the python backend never loads scipy.
+        from repro.core.vector import VectorValidator
 
-            validator = VectorValidator(
-                self._config,
-                cache,
-                components,
-                self.stats,
-                tracer=self.tracer,
-                model=self._model_store.get(cache),
-            )
-        else:
-            validator = IncrementalValidator(
-                self._config, cache, components, self.stats, tracer=self.tracer
-            )
+        validator = VectorValidator(
+            self._config,
+            cache,
+            components,
+            self.stats,
+            tracer=self.tracer,
+            model=self._model_store.get(cache),
+        )
         self._validators[cache.fingerprint] = validator
         return validator
 
@@ -264,9 +235,9 @@ class ValidationEngine:
         """
 
         def run(cache: TopologyCache, components: _Components) -> ValidationReport:
-            if self._backend == "vector" or self._mode == "incremental":
+            if self._backend == "vector":
                 return self._validator_for(cache, components).validate(snapshot, inputs)
-            return self._validate_full(components, snapshot, inputs)
+            return self._validate_serial(components, snapshot, inputs)
 
         return self._epoch(snapshot.timestamp, topology, run)
 
@@ -291,7 +262,7 @@ class ValidationEngine:
         Either way the report -- findings, verdicts, and provenance --
         is byte-identical to :meth:`validate` on a snapshot applied the
         classic way; the scatter differential in ``tests/stream``
-        enforces this across all four mode/backend combinations.
+        enforces this on both backends.
 
         Args:
             events: Deduped deliveries in sorted ``(router, uid)`` seal
@@ -327,9 +298,7 @@ class ValidationEngine:
         counters, latency histograms, verdict instants and history write."""
         reference = topology if topology is not None else self._reference
         tracer = self.tracer
-        with tracer.span(
-            "epoch", epoch=self.stats.epochs, mode=self._mode, timestamp=timestamp
-        ) as epoch_span:
+        with tracer.span("epoch", epoch=self.stats.epochs, timestamp=timestamp) as epoch_span:
             total_start = time.perf_counter()
             hits_before = self.stats.cache_hits
             cache, components = self._components_for(reference)
@@ -347,38 +316,29 @@ class ValidationEngine:
                 self._stage_hist.labels(stage=stage).observe(
                     self.stats.stage_seconds.get(stage, 0.0) - stage_before[stage]
                 )
-            self.stats.shard_tasks = self._shard_map.tasks_dispatched
-            self.stats.shard_busy_seconds = self._shard_map.busy_seconds
             self._emit_verdicts(report)
             self._record_history(report, total_seconds)
         return report
 
-    def _validate_full(
+    def _validate_serial(
         self, components: _Components, snapshot: NetworkSnapshot, inputs: ControllerInputs
     ) -> ValidationReport:
-        """The sharded per-entity pipeline, every stage from scratch."""
+        """The serial per-entity pipeline, every stage from scratch."""
         tracer = self.tracer
-        shard_map = self._shard_map
         stage_start = time.perf_counter()
-        shard_map.stage_hint = "collect"
         with tracer.span("collect", category="stage"):
-            collected = components.collector.collect(snapshot, parallel=shard_map)
+            collected = components.collector.collect(snapshot)
         self.stats.record_stage("collect", time.perf_counter() - stage_start)
 
         stage_start = time.perf_counter()
-        shard_map.stage_hint = "harden"
         with tracer.span("harden", category="stage"):
-            hardened = components.hardener.harden(collected, parallel=shard_map)
+            hardened = components.hardener.harden(collected)
         self.stats.record_stage("harden", time.perf_counter() - stage_start)
 
         stage_start = time.perf_counter()
-        shard_map.stage_hint = "check"
         report = ValidationReport(timestamp=snapshot.timestamp, hardened=hardened)
         with tracer.span("check", category="stage"):
-            Hodor._record(
-                report,
-                components.demand.check(inputs.demand, hardened, parallel=shard_map),
-            )
+            Hodor._record(report, components.demand.check(inputs.demand, hardened))
             Hodor._record(report, components.topology.check(inputs.topology, hardened))
             Hodor._record(report, components.drain.check(inputs.drains, hardened))
         self.stats.record_stage("check", time.perf_counter() - stage_start)
@@ -391,7 +351,6 @@ class ValidationEngine:
         self.history.record(
             report,
             source="engine",
-            mode=self._mode,
             backend=self._backend,
             sealed_by="batch",
             elapsed_s=elapsed_s,
@@ -416,8 +375,8 @@ class ValidationEngine:
         ]
 
     def close(self) -> None:
-        """Release the shard pool (the caches stay valid)."""
-        self._shard_map.close()
+        """Nothing to release today; kept so callers can scope an engine
+        with ``with`` (the caches stay valid after it)."""
 
     def __enter__(self) -> "ValidationEngine":
         return self

@@ -2,19 +2,21 @@
 
 :class:`EngineStats` is the engine's observable state: epochs
 processed, topology-cache hits and misses, wall time per pipeline
-stage, shard-pool utilisation, and -- in incremental mode -- how many
-per-entity units each stage recomputed versus reused from the previous
-epoch.  It is plain data -- the engine mutates it,
-:mod:`repro.control.metrics` exports it in metrics form, and the CLI
-renders it for humans (or as JSON via :meth:`EngineStats.to_dict`).
+stage, and -- on the vector backend -- how many per-entity units each
+stage recomputed versus reused from the previous epoch.  It is plain
+data -- the engine mutates it, :func:`engine_registry` exports it in
+metrics form, and the CLI renders it for humans (or as JSON via
+:meth:`EngineStats.to_dict`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
-__all__ = ["EngineStats"]
+from repro.obs.metrics import MetricsRegistry
+
+__all__ = ["EngineStats", "engine_registry"]
 
 #: Pipeline stages the engine times, in execution order.
 STAGES = ("collect", "harden", "check")
@@ -30,16 +32,10 @@ class EngineStats:
         cache_misses: Epochs that had to build topology structures.
         stage_seconds: Cumulative wall time per pipeline stage
             (``collect``, ``harden``, ``check``) plus ``total``.
-        shards: Configured shard count.
-        shard_tasks: Slice-worker invocations dispatched to the pool.
-        shard_busy_seconds: Seconds spent inside slice workers, summed
-            across shards.
-        mode: ``"full"`` or ``"incremental"`` -- the epoch path the
-            engine runs.
         backend: ``"python"`` (the per-entity reference units) or
             ``"vector"`` (array-compiled epoch evaluation).
         entities_recomputed: Per fine-grained stage, how many
-            per-entity units were computed fresh (incremental mode; the
+            per-entity units were computed fresh (vector backend; the
             priming epoch recomputes everything).
         entities_reused: Per fine-grained stage, how many per-entity
             units were served from the previous epoch's outputs.
@@ -54,10 +50,6 @@ class EngineStats:
     stage_seconds: Dict[str, float] = field(
         default_factory=lambda: {stage: 0.0 for stage in STAGES + ("total",)}
     )
-    shards: int = 1
-    shard_tasks: int = 0
-    shard_busy_seconds: float = 0.0
-    mode: str = "full"
     backend: str = "python"
     entities_recomputed: Dict[str, int] = field(default_factory=dict)
     entities_reused: Dict[str, int] = field(default_factory=dict)
@@ -68,7 +60,7 @@ class EngineStats:
         self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
 
     def record_reuse(self, stage: str, recomputed: int, reused: int) -> None:
-        """Count one incremental pass over one fine-grained stage."""
+        """Count one delta-aware pass over one fine-grained stage."""
         self.entities_recomputed[stage] = (
             self.entities_recomputed.get(stage, 0) + recomputed
         )
@@ -78,16 +70,13 @@ class EngineStats:
         """Fold another engine's counters into this one.
 
         Used to aggregate totals across several engines (e.g. one per
-        replayed scenario); ``shards``, ``mode``, and ``backend`` keep
-        this object's values.
+        replayed scenario); ``backend`` keeps this object's value.
         """
         self.epochs += other.epochs
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         for stage, seconds in other.stage_seconds.items():
             self.record_stage(stage, seconds)
-        self.shard_tasks += other.shard_tasks
-        self.shard_busy_seconds += other.shard_busy_seconds
         for stage, count in other.entities_recomputed.items():
             self.entities_recomputed[stage] = (
                 self.entities_recomputed.get(stage, 0) + count
@@ -102,19 +91,6 @@ class EngineStats:
         """Fraction of epochs served from the topology cache."""
         looked_up = self.cache_hits + self.cache_misses
         return self.cache_hits / looked_up if looked_up else 0.0
-
-    def shard_utilisation(self) -> float:
-        """Busy time over pool capacity (``1.0`` = all shards saturated).
-
-        With one shard the sharded stages run inline, so this tends to
-        ~1 for the fraction of total time spent in sharded stages; at
-        higher shard counts it measures how well the slices filled the
-        pool.
-        """
-        wall = self.stage_seconds.get("total", 0.0)
-        if wall <= 0.0:
-            return 0.0
-        return min(1.0, self.shard_busy_seconds / (wall * max(1, self.shards)))
 
     def mean_epoch_ms(self) -> float:
         """Mean wall-clock per validation pass, in milliseconds."""
@@ -139,17 +115,12 @@ class EngineStats:
         """A JSON-serialisable view of every counter (CLI ``--json``)."""
         return {
             "epochs": self.epochs,
-            "mode": self.mode,
             "backend": self.backend,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": self.cache_hit_rate,
             "stage_seconds": dict(self.stage_seconds),
             "mean_epoch_ms": self.mean_epoch_ms(),
-            "shards": self.shards,
-            "shard_tasks": self.shard_tasks,
-            "shard_busy_seconds": self.shard_busy_seconds,
-            "shard_utilisation": self.shard_utilisation(),
             "entities_recomputed": dict(self.entities_recomputed),
             "entities_reused": dict(self.entities_reused),
             "reuse_rate": self.reuse_rate(),
@@ -160,7 +131,7 @@ class EngineStats:
     #: ``to_dict`` keys derived from the counters, not stored state;
     #: :meth:`from_dict` ignores them and recomputes on demand so the
     #: round-trip can never drift from the true counters.
-    DERIVED_KEYS = ("cache_hit_rate", "mean_epoch_ms", "shard_utilisation", "reuse_rate")
+    DERIVED_KEYS = ("cache_hit_rate", "mean_epoch_ms", "reuse_rate")
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "EngineStats":
@@ -173,9 +144,8 @@ class EngineStats:
         the golden tests instead of silently dropping data.
         """
         known = {
-            "epochs", "mode", "backend", "cache_hits", "cache_misses",
-            "stage_seconds", "shards", "shard_tasks", "shard_busy_seconds",
-            "entities_recomputed", "entities_reused",
+            "epochs", "backend", "cache_hits", "cache_misses",
+            "stage_seconds", "entities_recomputed", "entities_reused",
             "repair_solves", "repair_reuses",
         }
         unknown = set(payload) - known - set(cls.DERIVED_KEYS)
@@ -187,10 +157,6 @@ class EngineStats:
             cache_hits=int(payload.get("cache_hits", 0)),  # type: ignore[arg-type]
             cache_misses=int(payload.get("cache_misses", 0)),  # type: ignore[arg-type]
             stage_seconds={k: float(v) for k, v in stage_seconds.items()},
-            shards=int(payload.get("shards", 1)),  # type: ignore[arg-type]
-            shard_tasks=int(payload.get("shard_tasks", 0)),  # type: ignore[arg-type]
-            shard_busy_seconds=float(payload.get("shard_busy_seconds", 0.0)),  # type: ignore[arg-type]
-            mode=str(payload.get("mode", "full")),
             backend=str(payload.get("backend", "python")),
             entities_recomputed={
                 str(k): int(v)
@@ -208,15 +174,11 @@ class EngineStats:
         """A compact human-readable block (CLI output)."""
         lines = [
             f"epochs processed  : {self.epochs}",
-            f"mode              : {self.mode}",
             f"backend           : {self.backend}",
             f"cache hits/misses : {self.cache_hits}/{self.cache_misses}",
-            f"shards            : {self.shards}",
-            f"shard tasks       : {self.shard_tasks}",
         ]
         if self.epochs:
             lines.append(f"mean epoch (ms)   : {self.mean_epoch_ms():.2f}")
-            lines.append(f"shard utilisation : {self.shard_utilisation():.0%}")
             per_stage = "  ".join(
                 f"{stage}={1000.0 * self.stage_seconds.get(stage, 0.0) / self.epochs:.2f}"
                 for stage in STAGES
@@ -234,3 +196,84 @@ class EngineStats:
                 f"{self.repair_reuses} cached"
             )
         return "\n".join(lines)
+
+
+def engine_registry(
+    stats: EngineStats, registry: Optional[MetricsRegistry] = None
+) -> MetricsRegistry:
+    """Project engine counters into a Prometheus metrics registry.
+
+    Names follow Prometheus conventions: monotonically accumulating
+    quantities are counters with a ``_total`` suffix; ratios and
+    configuration are gauges.  Per-stage quantities use a ``stage``
+    label, with the aggregate epoch time under
+    ``engine_stage_seconds_total{stage="all"}``.
+
+    Projection uses absolute snapshot writes (``set_to``), so re-running
+    it against a shared ``registry`` (e.g. the engine's own, which
+    already holds the latency histograms) is idempotent rather than
+    double-counting.
+    """
+    reg = registry if registry is not None else MetricsRegistry()
+
+    reg.counter("engine_epochs_total", "Validation passes completed.").set_to(stats.epochs)
+    reg.counter(
+        "engine_cache_hits_total", "Epochs that reused a memoized topology cache."
+    ).set_to(stats.cache_hits)
+    reg.counter(
+        "engine_cache_misses_total", "Epochs that had to build topology structures."
+    ).set_to(stats.cache_misses)
+    reg.counter(
+        "engine_entities_recomputed_total",
+        "Per-entity units computed fresh, summed over stages.",
+    ).set_to(stats.total_entities_recomputed)
+    reg.counter(
+        "engine_entities_reused_total",
+        "Per-entity units served from the previous epoch, summed over stages.",
+    ).set_to(stats.total_entities_reused)
+    reg.counter(
+        "engine_repair_solves_total", "Conservation components solved fresh."
+    ).set_to(stats.repair_solves)
+    reg.counter(
+        "engine_repair_reuses_total", "Conservation components served from the solver cache."
+    ).set_to(stats.repair_reuses)
+
+    stage_seconds = reg.counter(
+        "engine_stage_seconds_total",
+        "Cumulative wall seconds per pipeline stage ('all' is the whole epoch).",
+        labels=("stage",),
+    )
+    for stage in sorted(stats.stage_seconds):
+        label = "all" if stage == "total" else stage
+        stage_seconds.labels(stage=label).set_to(stats.stage_seconds[stage])
+    recomputed = reg.counter(
+        "engine_stage_recomputed_total",
+        "Per-entity units computed fresh, by fine-grained stage.",
+        labels=("stage",),
+    )
+    for stage in sorted(stats.entities_recomputed):
+        recomputed.labels(stage=stage).set_to(stats.entities_recomputed[stage])
+    reused = reg.counter(
+        "engine_stage_reused_total",
+        "Per-entity units served from the previous epoch, by fine-grained stage.",
+        labels=("stage",),
+    )
+    for stage in sorted(stats.entities_reused):
+        reused.labels(stage=stage).set_to(stats.entities_reused[stage])
+
+    # Info-style gauge: one sample, value 1, the backend as a label.
+    reg.gauge(
+        "engine_backend_info",
+        "Active evaluation backend (value 1 on the active label).",
+        labels=("backend",),
+    ).labels(backend=stats.backend).set(1.0)
+    reg.gauge(
+        "engine_cache_hit_rate", "Fraction of epochs served from the topology cache."
+    ).set(stats.cache_hit_rate)
+    reg.gauge("engine_mean_epoch_ms", "Mean wall-clock per validation pass (ms).").set(
+        stats.mean_epoch_ms()
+    )
+    reg.gauge(
+        "engine_reuse_rate", "Fraction of per-entity units served without recomputation."
+    ).set(stats.reuse_rate())
+    return reg

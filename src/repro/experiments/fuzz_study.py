@@ -93,7 +93,7 @@ class FuzzCoverageStudy:
 
     def run_mutation(
         self,
-        modes: Sequence[str] = ("full", "incremental", "streamed"),
+        modes: Sequence[str] = ("python", "vector", "streamed"),
         max_cases: int = 60,
     ) -> List[MutationRow]:
         """Plant the verdict-flip bug in each mode in turn; report the

@@ -1,13 +1,12 @@
-"""E9/E13: validation cost vs network size and churn.
+"""E9/E14/E15/E17: validation cost vs network size and churn.
 
 The paper envisions Hodor "as an always-on system that continuously
 validates inputs to the SDN controller as it receives them" (Section
 3.2), which only works if a validation pass is cheap at WAN scale.
 This study measures wall-clock cost of the full pipeline (collect +
 harden + all three checks) over random Waxman topologies of growing
-size, plus (E13) the incremental engine's advantage when only a
-fraction of signals move between epochs -- the production steady
-state.
+size, plus (E17) the vector backend's advantage when only a fraction
+of signals move between epochs -- the production steady state.
 """
 
 from __future__ import annotations
@@ -15,12 +14,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.control.demand_service import records_from_matrix
 from repro.control.infra import ControlPlane
 from repro.core.pipeline import Hodor
-from repro.engine import ValidationEngine
+from repro.engine import ValidationEngine, engine_registry
 from repro.net.demand import DemandMatrix, gravity_demand
 from repro.net.simulation import NetworkSimulator
 from repro.net.topology import EXTERNAL_PEER
@@ -33,7 +32,6 @@ from repro.topologies.synthetic import waxman_topology
 __all__ = [
     "ScaleRow",
     "EngineScaleRow",
-    "IncrementalRow",
     "TraceOverheadRow",
     "VectorRow",
     "ScaleStudy",
@@ -105,34 +103,6 @@ class ScaleRow:
 
 
 @dataclass(frozen=True)
-class IncrementalRow:
-    """Full vs incremental per-epoch engine cost at one network size.
-
-    Attributes:
-        nodes: Router count.
-        links: Link count.
-        epochs: Timed epochs per measurement (after one warm-up epoch
-            that primes each engine's caches).
-        churn: Fraction of links whose counters moved each epoch.
-        full_ms: Best per-epoch wall-clock of ``mode="full"``.
-        incremental_ms: Best per-epoch wall-clock of
-            ``mode="incremental"`` on the identical epoch stream.
-        speedup: ``full_ms / incremental_ms``.
-        reuse_rate: Fraction of per-entity units the incremental run
-            served from the previous epoch.
-    """
-
-    nodes: int
-    links: int
-    epochs: int
-    churn: float
-    full_ms: float
-    incremental_ms: float
-    speedup: float
-    reuse_rate: float
-
-
-@dataclass(frozen=True)
 class VectorRow:
     """E17: array-compiled vs per-entity epoch cost at one size.
 
@@ -145,7 +115,7 @@ class VectorRow:
             (capped at large sizes so the sweep stays bounded).
         churn: Fraction of links whose counters moved each epoch.
         python_ms: Best per-epoch wall-clock of the per-entity
-            reference units (``backend="python"``, ``mode="full"``).
+            reference units (``backend="python"``).
         vector_ms: Best mean per-epoch wall-clock of
             ``backend="vector"`` on the identical epoch stream.
         p99_ms: Per-epoch p99 latency of the best vector repetition
@@ -213,8 +183,8 @@ class EngineScaleRow:
         serial_ms: Mean per-epoch cost of the stateless deployment
             model -- a fresh :class:`~repro.core.pipeline.Hodor` built
             for every epoch, paying topology setup each time.
-        engine_ms: Mean per-epoch engine cost per shard count, as
-            ``(shards, ms)`` pairs.
+        engine_ms: Best mean per-epoch cost of one long-lived engine
+            (``backend="python"``) over the same epochs.
         cache_hits: Topology-cache hits the last engine run took
             (``epochs - 1`` when the topology never changed).
     """
@@ -223,7 +193,7 @@ class EngineScaleRow:
     links: int
     epochs: int
     serial_ms: float
-    engine_ms: Tuple[Tuple[int, float], ...]
+    engine_ms: float
     cache_hits: int
 
 
@@ -320,14 +290,13 @@ class ScaleStudy:
         self,
         sizes: Sequence[int] = (10, 20, 40, 80),
         epochs: int = 5,
-        shard_counts: Sequence[int] = (1, 4),
     ) -> List[EngineScaleRow]:
         """Serial (fresh pipeline per epoch) vs always-on engine.
 
         The serial column prices the stateless deployment model the
         engine replaces: every epoch constructs a fresh
         :class:`~repro.core.pipeline.Hodor`, so every epoch pays
-        topology setup.  The engine columns replay the same epoch
+        topology setup.  The engine column replays the same epoch
         stream through one long-lived
         :class:`~repro.engine.ValidationEngine`, which pays setup once
         and takes topology-cache hits on the remaining epochs.
@@ -335,7 +304,6 @@ class ScaleStudy:
         Args:
             sizes: Node counts to measure.
             epochs: Epochs replayed per measurement.
-            shard_counts: Engine shard counts to measure.
         """
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -352,20 +320,17 @@ class ScaleStudy:
             # Min over repetitions: wall-clock noise only ever adds.
             serial_ms = min(time_serial() for _ in range(self._repetitions))
 
-            engine_ms = []
+            engine_ms = float("inf")
             cache_hits = 0
-            for shards in shard_counts:
-                best = float("inf")
-                for _ in range(self._repetitions):
-                    with ValidationEngine(topology, shards=shards) as engine:
-                        start = time.perf_counter()
-                        for _ in range(epochs):
-                            engine.validate(snapshot, inputs)
-                        best = min(
-                            best, (time.perf_counter() - start) * 1000 / epochs
-                        )
-                        cache_hits = engine.stats.cache_hits
-                engine_ms.append((shards, best))
+            for _ in range(self._repetitions):
+                with ValidationEngine(topology) as engine:
+                    start = time.perf_counter()
+                    for _ in range(epochs):
+                        engine.validate(snapshot, inputs)
+                    engine_ms = min(
+                        engine_ms, (time.perf_counter() - start) * 1000 / epochs
+                    )
+                    cache_hits = engine.stats.cache_hits
 
             rows.append(
                 EngineScaleRow(
@@ -373,7 +338,7 @@ class ScaleStudy:
                     links=topology.num_links,
                     epochs=epochs,
                     serial_ms=serial_ms,
-                    engine_ms=tuple(engine_ms),
+                    engine_ms=engine_ms,
                     cache_hits=cache_hits,
                 )
             )
@@ -406,7 +371,6 @@ class ScaleStudy:
                 (``E14_metrics.prom``) are written there, so CI can
                 archive real artifacts produced under measurement.
         """
-        from repro.control.metrics import engine_registry
         from repro.obs import MetricsRegistry, Tracer
 
         if epochs < 1:
@@ -473,7 +437,6 @@ class ScaleStudy:
         reorder: float = 0.10,
         drop: float = 0.01,
         duplicate: float = 0.02,
-        mode: str = "full",
         export_dir: Optional[str] = None,
     ):
         """E15: sustained streamed ingestion under churn and delivery
@@ -493,7 +456,6 @@ class ScaleStudy:
             reorder: Per-delivery in-window reorder probability.
             drop: Per-delivery source-drop probability.
             duplicate: Per-delivery duplication probability.
-            mode: Engine mode for the streamed validation.
             export_dir: When given, the largest size's Prometheus
                 exposition is written there as ``E15_metrics.prom`` so
                 CI archives a real artifact.
@@ -517,7 +479,6 @@ class ScaleStudy:
                         perturb=Perturbations(
                             reorder=reorder, drop=drop, duplicate=duplicate
                         ),
-                        mode=mode,
                     )
                 )
             )
@@ -550,10 +511,10 @@ class ScaleStudy:
                 means the E9 workload -- the identical snapshot object
                 replayed every epoch -- where the vector backend's
                 wholesale short-circuit does the least work and the
-                python full path still recomputes everything.
+                python backend still recomputes everything.
             python_epochs: Timed epochs for the python reference run
                 (defaults to ``epochs``).
-            fixture: ``"dense"`` (the E9/E13 gravity fixture) or
+            fixture: ``"dense"`` (the E9 gravity fixture) or
                 ``"sparse"`` (the bounded-degree, O(N)-commodity
                 fixture for the 200/500/1000 sweep -- see
                 :meth:`_sparse_epoch_fixture`).
@@ -621,67 +582,6 @@ class ScaleStudy:
                     p99_ms=best_latencies[p99_index],
                     speedup=python_ms / vector_ms if vector_ms else 0.0,
                     epochs_per_s=1000.0 / vector_ms if vector_ms else 0.0,
-                    reuse_rate=reuse_rate,
-                )
-            )
-        return rows
-
-    def run_incremental(
-        self,
-        sizes: Sequence[int] = (20, 40, 80),
-        epochs: int = 10,
-        churn: float = 0.10,
-    ) -> List[IncrementalRow]:
-        """E13: full-recompute vs incremental engine under churn.
-
-        Both engines replay the identical churned epoch stream (one
-        warm-up epoch, then ``epochs`` timed ones); the differential
-        harness in ``tests/engine`` separately proves the two modes'
-        reports identical, so this measures pure cost.
-
-        Args:
-            sizes: Node counts to measure.
-            epochs: Timed epochs per measurement.
-            churn: Per-link probability of moving each epoch.
-        """
-        if epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {epochs}")
-        rows = []
-        for size in sizes:
-            topology, snapshot, inputs = self._epoch_fixture(size)
-            rng = random.Random(self._seed)
-            snapshots = [snapshot]
-            for epoch in range(1, epochs + 1):
-                snapshots.append(
-                    churn_snapshot(snapshots[-1], churn, rng, float(epoch))
-                )
-
-            def time_mode(mode: str) -> Tuple[float, float]:
-                best = float("inf")
-                reuse = 0.0
-                for _ in range(self._repetitions):
-                    with ValidationEngine(topology, mode=mode) as engine:
-                        engine.validate(snapshots[0], inputs)  # warm-up
-                        start = time.perf_counter()
-                        for snap in snapshots[1:]:
-                            engine.validate(snap, inputs)
-                        best = min(
-                            best, (time.perf_counter() - start) * 1000 / epochs
-                        )
-                        reuse = engine.stats.reuse_rate()
-                return best, reuse
-
-            full_ms, _ = time_mode("full")
-            incremental_ms, reuse_rate = time_mode("incremental")
-            rows.append(
-                IncrementalRow(
-                    nodes=topology.num_nodes,
-                    links=topology.num_links,
-                    epochs=epochs,
-                    churn=churn,
-                    full_ms=full_ms,
-                    incremental_ms=incremental_ms,
-                    speedup=full_ms / incremental_ms if incremental_ms else 0.0,
                     reuse_rate=reuse_rate,
                 )
             )

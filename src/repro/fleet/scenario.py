@@ -168,8 +168,7 @@ async def run_tenant_async(
             :class:`EpochDigest` as its epoch validates -- the worker
             streams these to the supervisor.
     """
-    from repro.control.metrics import engine_registry
-    from repro.engine import ValidationEngine
+    from repro.engine import ValidationEngine, engine_registry
     from repro.stream.assembler import EpochAssembler
     from repro.stream.feed import Perturbations, make_feeds
     from repro.stream.ingest import IngestConfig, StreamPipeline
@@ -210,7 +209,6 @@ async def run_tenant_async(
         with ValidationEngine(
             workload.topology,
             config=workload.hodor_config,
-            mode=spec.mode,
             backend=spec.backend,
             metrics=registry,
         ) as engine:

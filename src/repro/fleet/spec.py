@@ -19,7 +19,6 @@ from repro.fleet.admission import AdmissionPolicy
 
 __all__ = ["FleetConfig", "TenantSpec"]
 
-_MODES = ("full", "incremental")
 _BACKENDS = ("python", "vector")
 
 
@@ -37,7 +36,6 @@ class TenantSpec:
             set the tenant replays that scenario's fault-injected
             timeline instead of the synthetic soak fixture -- the
             in-fleet vs standalone differential runs on these.
-        mode: Engine epoch path, ``"full"`` or ``"incremental"``.
         backend: Engine backend, ``"python"`` or ``"vector"``.
         churn: Per-link re-measurement probability per epoch
             (synthetic workload only).
@@ -57,7 +55,6 @@ class TenantSpec:
     epochs: int = 10
     seed: int = 0
     scenario: Optional[str] = None
-    mode: str = "full"
     backend: str = "python"
     churn: float = 0.10
     epoch_spacing_s: float = 10.0
@@ -74,8 +71,6 @@ class TenantSpec:
             raise ValueError("tenant id must be non-empty")
         if "/" in self.tenant or "\x00" in self.tenant:
             raise ValueError(f"tenant id {self.tenant!r} must not contain '/'")
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {_MODES}")
         if self.backend not in _BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {_BACKENDS}"
@@ -134,7 +129,6 @@ def synthetic_fleet(
     nodes: int = 20,
     epochs: int = 10,
     seed: int = 0,
-    mode: str = "full",
     backend: str = "python",
     history: bool = False,
 ) -> Tuple[TenantSpec, ...]:
@@ -145,7 +139,6 @@ def synthetic_fleet(
             nodes=nodes,
             epochs=epochs,
             seed=seed + index * 1009,
-            mode=mode,
             backend=backend,
             history=history,
         )

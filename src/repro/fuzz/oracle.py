@@ -1,4 +1,4 @@
-"""The tri-modal (now quad-modal) differential oracle.
+"""The tri-modal differential oracle.
 
 One generated timeline is executed through the repo's independent
 validation paths and every pair of answers must agree:
@@ -6,14 +6,14 @@ validation paths and every pair of answers must agree:
 1. **Serial reference** -- each epoch's :class:`~repro.scenarios.world.
    World` runs the full Figure 1 pipeline; its embedded serial Hodor
    report is the ground truth.
-2. **Engine modes** -- the same snapshots and inputs flow through a
-   :class:`~repro.engine.ValidationEngine` in ``full`` and
-   ``incremental`` mode (one engine per mode, kept alive across the
-   timeline so incremental caching is actually exercised).
-3. **Vector** -- the same timeline again through the array-compiled
-   backend (:mod:`repro.core.vector`), whose delta-aware epochs must
-   reproduce the per-entity units finding-for-finding.
-4. **Streamed** -- the snapshots are decomposed into per-router feeds
+2. **Engine backends** -- the same snapshots and inputs flow through
+   a :class:`~repro.engine.ValidationEngine` on the ``python`` backend
+   (the serial per-entity units behind the topology cache) and on the
+   ``vector`` backend (:mod:`repro.core.vector`), whose delta-aware
+   epochs must reproduce the per-entity units finding-for-finding.  One
+   engine per backend is kept alive across the timeline so cross-epoch
+   reuse is actually exercised.
+3. **Streamed** -- the snapshots are decomposed into per-router feeds
    (optionally perturbed in-window), sealed as event buffers by the
    watermark :class:`~repro.stream.assembler.EpochAssembler`, and
    validated by the ingest pipeline on the vector backend: the path
@@ -94,20 +94,16 @@ class TriModalOracle:
         lateness_s: Assembler lateness window for the streamed mode.
             Must stay above the spec's reorder jitter or in-window
             perturbations would legitimately change results.
-        hooks: Optional per-mode report hooks (``"full"``,
-            ``"incremental"``, ``"vector"``, ``"streamed"``) used by
-            mutation tests to plant divergence bugs; production runs
-            pass none.
+        hooks: Optional per-mode report hooks (``"python"``,
+            ``"vector"``, ``"streamed"``) used by mutation tests to
+            plant divergence bugs; production runs pass none.
     """
 
-    MODES: Tuple[str, ...] = ("full", "incremental", "vector", "streamed")
+    MODES: Tuple[str, ...] = ("python", "vector", "streamed")
 
-    #: Oracle mode -> (engine mode, engine backend) for the engine runs.
-    _ENGINE_MODES: Tuple[Tuple[str, str, str], ...] = (
-        ("full", "full", "python"),
-        ("incremental", "incremental", "python"),
-        ("vector", "full", "vector"),
-    )
+    #: The oracle modes that are engine runs; each is named for the
+    #: engine backend it runs on.
+    _ENGINE_MODES: Tuple[str, ...] = ("python", "vector")
 
     def __init__(
         self,
@@ -131,11 +127,9 @@ class TriModalOracle:
             )
 
         divergences: List[ModeDivergence] = []
-        for mode, engine_mode, backend in self._ENGINE_MODES:
+        for mode in self._ENGINE_MODES:
             try:
-                reports = self._engine_run(
-                    spec, epochs, inputs_by_ts, mode, engine_mode, backend
-                )
+                reports = self._engine_run(spec, epochs, inputs_by_ts, mode)
             except Exception as exc:  # noqa: BLE001
                 return OracleResult(
                     passed=False,
@@ -174,14 +168,11 @@ class TriModalOracle:
             reference.append(outcome.report)
         return epochs, inputs_by_ts, reference
 
-    def _engine_run(
-        self, spec, epochs, inputs_by_ts, mode, engine_mode, backend
-    ) -> List[ValidationReport]:
+    def _engine_run(self, spec, epochs, inputs_by_ts, mode) -> List[ValidationReport]:
         hook = self.hooks.get(mode)
         reports = []
-        config = spec.hodor_config
         with ValidationEngine(
-            spec.topology, config=config, mode=engine_mode, backend=backend
+            spec.topology, config=spec.hodor_config, backend=mode
         ) as engine:
             for index, (timestamp, snapshot) in enumerate(epochs):
                 report = engine.validate(snapshot, inputs_by_ts[timestamp])

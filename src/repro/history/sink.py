@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.report import ValidationReport
+from repro.engine.stats import EngineStats, engine_registry
 from repro.history.alerts import AlertEngine
 from repro.history.store import HistoryStore, RetentionPolicy
 from repro.obs.metrics import MetricsRegistry
@@ -165,14 +166,13 @@ class HistorySink:
         report: ValidationReport,
         *,
         source: str = "engine",
-        mode: str = "full",
         backend: str = "python",
         sealed_by: str = "batch",
         complete: bool = True,
         updates: int = 0,
         missing: int = 0,
         elapsed_s: float = 0.0,
-        stats=None,
+        stats: Optional[EngineStats] = None,
     ) -> int:
         """Write one validated epoch through to the store.
 
@@ -206,7 +206,6 @@ class HistorySink:
         epoch_id = self.store.append_epoch(
             report.timestamp,
             source=source,
-            mode=mode,
             backend=backend,
             sealed_by=sealed_by,
             complete=complete,
@@ -247,10 +246,8 @@ class HistorySink:
         self._refresh_shape_metrics()
         return epoch_id
 
-    def _counter_samples(self, stats) -> List[Tuple[str, Dict[str, str], float]]:
+    def _counter_samples(self, stats: EngineStats) -> List[Tuple[str, Dict[str, str], float]]:
         """Project engine stats into snapshot rows, sorted and filtered."""
-        from repro.control.metrics import engine_registry
-
         samples: List[Tuple[str, Dict[str, str], float]] = []
         for name, labels, value in engine_registry(stats).samples():
             if self.config.deterministic and any(

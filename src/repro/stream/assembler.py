@@ -21,7 +21,7 @@ is applied in sorted key order.  (The buffer is one ``uid`` dict per
 router, so a delivery allocates no key tuple of its own.)  A delivery
 for an already-sealed epoch is *late*: counted and dropped, never
 applied (a late write mutating history would desynchronise the
-engine's incremental state).
+engine's delta state).
 
 Sealed epochs are **partial** when some expected router contributed
 nothing: its signals are simply absent from the snapshot, which

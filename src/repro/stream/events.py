@@ -18,9 +18,8 @@ snapshot and event representations:
 
 The round trip is *validation-exact*: rebuilding a snapshot from its
 full update set yields one that is signal-for-signal identical to the
-original (``SnapshotDelta.between(...)`` is empty at any staleness
-bound), which is what lets the differential harness prove the streamed
-path verdict-identical to the batch path.
+original (the two compare ``==``), which is what lets the differential
+harness prove the streamed path verdict-identical to the batch path.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@
 into one bounded queue; a single consumer drains it into the
 :class:`~repro.stream.assembler.EpochAssembler`; every epoch the
 assembler seals is validated immediately by a
-:class:`~repro.engine.ValidationEngine` (full or incremental mode --
-the pipeline does not care).
+:class:`~repro.engine.ValidationEngine` (either backend -- the
+pipeline does not care).
 
 Design points:
 
@@ -497,7 +497,6 @@ class StreamPipeline:
             self.history.record(
                 report,
                 source="stream",
-                mode=getattr(self._engine, "mode", "full"),
                 backend=getattr(self._engine, "backend", "python"),
                 sealed_by=epoch.sealed_by,
                 complete=epoch.complete,

@@ -5,7 +5,6 @@ the SDN control infrastructure and for Hodor's collection step.
 """
 
 from repro.telemetry.collector import TelemetryCollector
-from repro.telemetry.delta import SnapshotDelta
 from repro.telemetry.gnmi import GnmiError, GnmiFacade
 from repro.telemetry.counters import (
     CounterReading,
@@ -42,7 +41,6 @@ __all__ = [
     "SelfCorrection",
     "SignalKind",
     "SignalPath",
-    "SnapshotDelta",
     "TelemetryCollector",
     "coerce_rate",
     "peer_exchange_correct",

@@ -1,4 +1,4 @@
-"""C1 fixture (bad): units missing from one or both registries."""
+"""C1 fixture (bad): a unit its own serial stage never calls."""
 
 
 class Collector:

@@ -1,6 +1,6 @@
-"""C1 fixture (good): incremental registry dispatching the same unit."""
+"""C1 fixture (good): vector backend dispatching the same unit."""
 
 
-class Incremental:
+class VectorBackend:
     def run(self, collector, snapshot):
         return [collector.collect_flow_entity(snapshot, k) for k in sorted(snapshot)]

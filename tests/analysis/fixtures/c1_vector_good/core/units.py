@@ -1,4 +1,4 @@
-"""C1 fixture (good): units wired into every execution path."""
+"""C1 fixture (good): units wired into both execution paths."""
 
 
 class Collector:

@@ -17,15 +17,12 @@ def test_missing_wiring_flags_both_directions():
     result = run_lint(FIXTURES / "c1_bad")
     findings = [(d.path, d.line, d.code) for d in result.diagnostics]
     assert findings == [
-        ("core/units.py", 5, "C1"),          # flow: not in incremental
-        ("core/units.py", 8, "C1"),          # orphan: not in incremental
-        ("core/units.py", 8, "C1"),          # orphan: not in serial path
-        ("engine/incremental.py", 6, "C1"),  # ghost: defined nowhere
+        ("core/units.py", 8, "C1"),            # orphan: not in serial path
+        ("core/vector/backend.py", 11, "C1"),  # ghost: defined nowhere
     ]
     messages = [d.message for d in result.diagnostics]
-    assert "never referenced in engine/incremental.py" in messages[0]
-    assert any("not exercised by the serial pipeline" in m for m in messages)
-    assert any("no per-entity unit with that name" in m for m in messages)
+    assert "collect_orphan_entity() is not exercised by the serial pipeline" in messages[0]
+    assert "no per-entity unit with that name" in messages[1]
 
 
 def test_vector_manifest_or_dispatch_passes():
@@ -51,17 +48,10 @@ def test_vector_gaps_flag_both_directions():
 
 
 def test_tree_without_vector_module_is_vacuously_clean():
-    # c1_good has no core/vector/backend.py; the three-way extension
-    # must not fire there (pre-vector trees stay green).
-    result = run_lint(FIXTURES / "c1_good")
-    assert result.ok
-
-
-def test_tree_without_incremental_module_is_vacuously_clean():
-    # No engine/incremental.py at the configured path -> nothing to
-    # compare against; the p1 clean/bad trees rely on this.
+    # No backend at the configured path -> nothing to compare against;
+    # the p1 clean/bad trees rely on this.
     result = run_lint(
-        FIXTURES / "c1_bad", config=LintConfig(incremental_path="engine/absent.py")
+        FIXTURES / "c1_bad", config=LintConfig(vector_path="core/absent.py")
     )
     assert all(d.code != "C1" for d in result.diagnostics)
 

@@ -1,9 +1,8 @@
-"""Engine counters: cache hits, stage timings, sharding, export."""
+"""Engine counters: cache hits, stage timings, entity reuse, export."""
 
 import pytest
 
-from repro.control.metrics import engine_metrics, render_engine_metrics
-from repro.engine import EngineStats, EpochInput, ShardMap, ValidationEngine, split_slices
+from repro.engine import EngineStats, EpochInput, ValidationEngine, engine_registry
 from repro.scenarios.catalog import scenario_by_id
 
 from tests.engine.conftest import random_epoch
@@ -17,7 +16,7 @@ def replayed_engine():
     for epoch in range(3):
         outcome = world.run_epoch(timestamp=float(epoch))
         epochs.append(EpochInput(snapshot=outcome.snapshot, inputs=outcome.inputs))
-    engine = ValidationEngine(world.topology, config=world.hodor_config, shards=2)
+    engine = ValidationEngine(world.topology, config=world.hodor_config)
     engine.replay(epochs)
     yield engine
     engine.close()
@@ -40,7 +39,7 @@ class TestCacheCounters:
     def test_topology_change_counts_as_miss(self):
         topo_a, snap_a, inputs_a = random_epoch(8, 30)
         topo_b, snap_b, inputs_b = random_epoch(10, 31)
-        with ValidationEngine(topo_a, shards=1) as engine:
+        with ValidationEngine(topo_a) as engine:
             engine.validate(snap_a, inputs_a)
             engine.validate(snap_b, inputs_b, topology=topo_b)
             engine.validate(snap_a, inputs_a)
@@ -60,39 +59,27 @@ class TestStageTimings:
         assert stats.stage_seconds["total"] >= stage_sum
         assert stats.mean_epoch_ms() > 0.0
 
-    def test_shard_counters(self, replayed_engine):
-        stats = replayed_engine.stats
-        assert stats.shards == 2
-        assert stats.shard_tasks > 0
-        assert stats.shard_busy_seconds > 0.0
-        assert 0.0 < stats.shard_utilisation() <= 1.0
-
 
 class TestRenderAndMerge:
     def test_render_lines(self, replayed_engine):
         rendered = replayed_engine.stats.render()
         assert "epochs processed  : 3" in rendered
-        assert "mode              : full" in rendered
+        assert "backend           : python" in rendered
         assert "cache hits/misses : 2/1" in rendered
-        assert "shards            : 2" in rendered
-
-    def test_render_shows_incremental_mode(self):
-        assert "mode              : incremental" in EngineStats(mode="incremental").render()
 
     def test_merge_sums_counters(self):
-        a = EngineStats(shards=2, epochs=2, cache_hits=1, cache_misses=1)
+        a = EngineStats(epochs=2, cache_hits=1, cache_misses=1)
         a.record_stage("total", 0.5)
-        b = EngineStats(shards=4, epochs=3, cache_hits=3, cache_misses=0)
+        b = EngineStats(epochs=3, cache_hits=3, cache_misses=0)
         b.record_stage("total", 0.25)
         a.merge(b)
         assert a.epochs == 5
         assert a.cache_hits == 4
         assert a.cache_misses == 1
         assert a.stage_seconds["total"] == pytest.approx(0.75)
-        assert a.shards == 2  # merge keeps the receiver's shard count
 
     def test_record_reuse_accumulates_per_stage(self):
-        stats = EngineStats(mode="incremental")
+        stats = EngineStats(backend="vector")
         stats.record_reuse("collect", 10, 90)
         stats.record_reuse("collect", 5, 95)
         stats.record_reuse("check.demand", 1, 9)
@@ -103,7 +90,7 @@ class TestRenderAndMerge:
         assert stats.reuse_rate() == pytest.approx(194 / 210)
 
     def test_merge_folds_reuse_and_repair_counters(self):
-        a = EngineStats(mode="incremental")
+        a = EngineStats(backend="vector")
         a.record_reuse("collect", 2, 8)
         a.repair_solves = 3
         b = EngineStats()
@@ -115,7 +102,6 @@ class TestRenderAndMerge:
         assert a.entities_reused == {"collect": 12, "harden.flows": 0}
         assert a.repair_solves == 3
         assert a.repair_reuses == 7
-        assert a.mode == "incremental"  # merge keeps the receiver's mode
 
     def test_merge_adopts_stage_keys_missing_from_self(self):
         a = EngineStats()
@@ -130,28 +116,27 @@ class TestRenderAndMerge:
         for stage in ("collect", "harden", "check", "total"):
             assert a.stage_seconds[stage] == 0.0
 
-    def test_merge_keeps_receiver_shards_and_mode(self):
-        a = EngineStats(shards=2, mode="full")
-        b = EngineStats(shards=8, mode="incremental", epochs=4)
+    def test_merge_keeps_receiver_backend(self):
+        a = EngineStats(backend="vector")
+        b = EngineStats(backend="python", epochs=4)
         a.merge(b)
-        assert a.shards == 2
-        assert a.mode == "full"
+        assert a.backend == "vector"
         assert a.epochs == 4
 
     def test_merged_stats_round_trip_through_dict(self):
-        a = EngineStats(shards=2, epochs=1, cache_hits=1, repair_solves=2)
+        a = EngineStats(epochs=1, cache_hits=1, repair_solves=2)
         a.record_stage("collect", 0.25)
-        b = EngineStats(shards=4, epochs=2, cache_misses=3, repair_reuses=5)
+        b = EngineStats(epochs=2, cache_misses=3, repair_reuses=5)
         b.record_stage("check.demand", 0.5)
         b.record_reuse("collect", 3, 9)
         a.merge(b)
         payload = a.to_dict()
         assert EngineStats.from_dict(payload).to_dict() == payload
 
-    def test_reuse_lines_render_only_in_incremental_runs(self):
+    def test_reuse_lines_render_only_when_reuse_was_recorded(self):
         plain = EngineStats()
         assert "entities          :" not in plain.render()
-        stats = EngineStats(mode="incremental")
+        stats = EngineStats(backend="vector")
         stats.record_reuse("collect", 25, 75)
         stats.repair_solves = 2
         stats.repair_reuses = 6
@@ -162,10 +147,10 @@ class TestRenderAndMerge:
     def test_to_dict_round_trips_through_json(self):
         import json
 
-        stats = EngineStats(mode="incremental", epochs=2)
+        stats = EngineStats(backend="vector", epochs=2)
         stats.record_reuse("collect", 1, 3)
         payload = json.loads(json.dumps(stats.to_dict()))
-        assert payload["mode"] == "incremental"
+        assert payload["backend"] == "vector"
         assert payload["entities_recomputed"] == {"collect": 1}
         assert payload["entities_reused"] == {"collect": 3}
         assert payload["reuse_rate"] == pytest.approx(0.75)
@@ -173,115 +158,53 @@ class TestRenderAndMerge:
     def test_empty_stats_render_and_rates(self):
         stats = EngineStats()
         assert stats.cache_hit_rate == 0.0
-        assert stats.shard_utilisation() == 0.0
         assert stats.mean_epoch_ms() == 0.0
         assert "epochs processed  : 0" in stats.render()
 
 
+def _by_sample(registry):
+    return {
+        (name, tuple(sorted(labels.items()))): value
+        for name, labels, value in registry.samples()
+    }
+
+
 class TestMetricsExport:
-    def test_engine_metrics_mapping(self, replayed_engine):
-        metrics = engine_metrics(replayed_engine.stats)
-        assert metrics["engine_epochs"] == 3.0
-        assert metrics["engine_cache_hits"] == 2.0
-        assert metrics["engine_cache_misses"] == 1.0
-        assert metrics["engine_shards"] == 2.0
-        assert metrics["engine_stage_seconds_all"] > 0.0
-        assert set(metrics) >= {
-            "engine_cache_hit_rate",
-            "engine_mean_epoch_ms",
-            "engine_shard_tasks",
-            "engine_shard_utilisation",
-            "engine_stage_seconds_collect",
-            "engine_stage_seconds_harden",
-            "engine_stage_seconds_check",
-        }
-
-    def test_reuse_metrics_exported(self):
-        stats = EngineStats(mode="incremental")
-        stats.record_reuse("collect", 4, 6)
-        stats.record_reuse("check.demand", 1, 9)
-        stats.repair_solves = 2
-        stats.repair_reuses = 5
-        metrics = engine_metrics(stats)
-        assert metrics["engine_entities_recomputed"] == 5.0
-        assert metrics["engine_entities_reused"] == 15.0
-        assert metrics["engine_reuse_rate"] == pytest.approx(0.75)
-        assert metrics["engine_repair_solves"] == 2.0
-        assert metrics["engine_repair_reuses"] == 5.0
-        assert metrics["engine_recomputed_collect"] == 4.0
-        assert metrics["engine_reused_check_demand"] == 9.0
-
-    def test_stage_seconds_total_alias_removed(self, replayed_engine):
-        metrics = engine_metrics(replayed_engine.stats)
-        # The aggregate epoch time lives under _all only.  The
-        # pre-observatory flat _total name (which collides with the
-        # Prometheus counter suffix convention) shipped as a deprecated
-        # alias in PR 4 and must stay gone; the labelled registry
-        # family engine_stage_seconds_total{stage=...} is canonical.
-        assert metrics["engine_stage_seconds_all"] > 0.0
-        assert "engine_stage_seconds_total" not in metrics
-
-    def test_engine_registry_exposition_matches_flat_view(self, replayed_engine):
-        from repro.control.metrics import engine_registry
-
+    def test_engine_registry_exposition(self, replayed_engine):
         registry = engine_registry(replayed_engine.stats)
         rendered = registry.render()
         assert "# HELP engine_epochs_total" in rendered
         assert "# TYPE engine_epochs_total counter" in rendered
         assert 'engine_stage_seconds_total{stage="all"}' in rendered
-        by_sample = {
-            (name, tuple(sorted(labels.items()))): value
-            for name, labels, value in registry.samples()
-        }
+        by_sample = _by_sample(registry)
         assert by_sample[("engine_epochs_total", ())] == 3.0
+        assert by_sample[("engine_cache_hits_total", ())] == 2.0
+        assert by_sample[("engine_cache_misses_total", ())] == 1.0
+        assert by_sample[("engine_cache_hit_rate", ())] == pytest.approx(2 / 3)
+        assert by_sample[("engine_mean_epoch_ms", ())] > 0.0
+        assert by_sample[("engine_backend_info", (("backend", "python"),))] == 1.0
         stats_dict = replayed_engine.stats.to_dict()
         for stage in ("collect", "harden", "check"):
             key = ("engine_stage_seconds_total", (("stage", stage),))
             assert by_sample[key] == pytest.approx(stats_dict["stage_seconds"][stage])
 
-    def test_engine_registry_projection_is_idempotent(self, replayed_engine):
-        from repro.control.metrics import engine_registry
+    def test_reuse_metrics_exported(self):
+        stats = EngineStats(backend="vector")
+        stats.record_reuse("collect", 4, 6)
+        stats.record_reuse("check.demand", 1, 9)
+        stats.repair_solves = 2
+        stats.repair_reuses = 5
+        by_sample = _by_sample(engine_registry(stats))
+        assert by_sample[("engine_entities_recomputed_total", ())] == 5.0
+        assert by_sample[("engine_entities_reused_total", ())] == 15.0
+        assert by_sample[("engine_reuse_rate", ())] == pytest.approx(0.75)
+        assert by_sample[("engine_repair_solves_total", ())] == 2.0
+        assert by_sample[("engine_repair_reuses_total", ())] == 5.0
+        assert by_sample[("engine_stage_recomputed_total", (("stage", "collect"),))] == 4.0
+        assert by_sample[("engine_stage_reused_total", (("stage", "check.demand"),))] == 9.0
 
+    def test_engine_registry_projection_is_idempotent(self, replayed_engine):
         registry = engine_registry(replayed_engine.stats)
         again = engine_registry(replayed_engine.stats, registry=registry)
         assert again is registry
         assert registry.get("engine_epochs_total").value == 3.0  # not doubled
-
-    def test_render_engine_metrics(self, replayed_engine):
-        text = render_engine_metrics(engine_metrics(replayed_engine.stats))
-        lines = text.splitlines()
-        assert lines == sorted(lines)
-        assert any(line.startswith("engine_cache_hits 2") for line in lines)
-
-
-class TestSharding:
-    def test_split_slices_cover_and_balance(self):
-        assert split_slices(10, 3) == [(0, 4), (4, 7), (7, 10)]
-        assert split_slices(2, 8) == [(0, 1), (1, 2)]
-        assert split_slices(0, 4) == []
-        with pytest.raises(ValueError):
-            split_slices(5, 0)
-
-    def test_shard_map_orders_results(self):
-        items = list(range(23))
-        with ShardMap(shards=4, min_slice_items=1) as shard_map:
-            merged = [
-                value
-                for chunk in shard_map.map_slices(lambda s: list(s), items)
-                for value in chunk
-            ]
-            assert merged == items
-            assert shard_map.tasks_dispatched == 4
-            assert shard_map.busy_seconds >= 0.0
-
-    def test_single_shard_runs_inline(self):
-        shard_map = ShardMap(shards=1)
-        assert shard_map.map_slices(sum, [1, 2, 3]) == [6]
-        assert shard_map._executor is None  # no pool was ever created
-        shard_map.close()
-
-    def test_small_sequences_stay_inline(self):
-        shard_map = ShardMap(shards=8, min_slice_items=32)
-        assert shard_map.map_slices(sum, list(range(20))) == [sum(range(20))]
-        assert shard_map._executor is None  # below the slice floor
-        shard_map.close()

@@ -4,24 +4,29 @@ The vector backend's contract is total observational equivalence: for
 every snapshot the per-entity reference units can validate, the
 array-compiled path must produce a byte-identical
 :class:`~repro.core.report.ValidationReport` *and* identical
-:class:`~repro.obs.provenance.VerdictProvenance` records -- in full
-mode, in incremental mode, on priming epochs, on deltas, and on
-identical-snapshot replays.  These tests pin that contract over the
-whole outage catalog, randomized worlds, and hypothesis-driven fuzz
-timelines.
+:class:`~repro.obs.provenance.VerdictProvenance` records -- on priming
+epochs, on deltas, and on identical-snapshot replays.  These tests pin
+that contract over the whole outage catalog, randomized worlds, churn
+streams, corruption that appears and disappears between epochs (so
+repairs from the *previous* epoch must dirty this one),
+controller-input changes that arrive with an unchanged snapshot, and
+hypothesis-driven fuzz timelines.
 """
+
+import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pipeline import Hodor
 from repro.engine import ValidationEngine, compare_reports
+from repro.experiments import churn_snapshot
 from repro.fuzz.generate import CaseGenerator
 from repro.scenarios.catalog import all_scenarios
 
 from tests.engine.conftest import random_epoch
-
-MODES = ("full", "incremental")
 
 
 def _provenance_dict(report):
@@ -43,18 +48,14 @@ def _scenario_ids():
 class TestCatalogParity:
     """Every catalog scenario, serial reference vs vector engine."""
 
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("scenario_id", _scenario_ids())
-    def test_timeline_parity(self, scenario_id, mode):
+    def test_timeline_parity(self, scenario_id):
         scenario = next(
             s for s in all_scenarios() if s.scenario_id == scenario_id
         )
         world = scenario.build(seed=7)
         with ValidationEngine(
-            world.topology,
-            config=world.hodor_config,
-            mode=mode,
-            backend="vector",
+            world.topology, config=world.hodor_config, backend="vector"
         ) as engine:
             for epoch in range(3):
                 outcome = world.run_epoch(timestamp=float(epoch))
@@ -62,38 +63,36 @@ class TestCatalogParity:
                 assert_reports_identical(
                     outcome.report,
                     report,
-                    context=f"{scenario_id} {mode} epoch {epoch}",
+                    context=f"{scenario_id} epoch {epoch}",
                 )
             assert engine.stats.backend == "vector"
             assert engine.stats.epochs == 3
 
 
 class TestRandomWorlds:
-    """Random Waxman worlds, clean and corrupted, both modes."""
+    """Random Waxman worlds, clean and corrupted."""
 
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize(
         "size,seed,corrupted",
         [(6, 0, False), (8, 1, False), (12, 2, True), (16, 3, True)],
     )
-    def test_single_epoch_parity(self, size, seed, corrupted, mode):
+    def test_single_epoch_parity(self, size, seed, corrupted):
         topology, snapshot, inputs = random_epoch(size, seed, corrupted=corrupted)
-        with ValidationEngine(topology, mode=mode) as serial:
+        with ValidationEngine(topology) as serial:
             reference = serial.validate(snapshot, inputs)
-        with ValidationEngine(topology, mode=mode, backend="vector") as engine:
+        with ValidationEngine(topology, backend="vector") as engine:
             report = engine.validate(snapshot, inputs)
         assert_reports_identical(
             reference, report, context=f"size={size} seed={seed}"
         )
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_identical_snapshot_replay(self, mode):
+    def test_identical_snapshot_replay(self):
         """Replaying the same snapshot object takes the wholesale
         short-circuit and still reproduces the serial report exactly."""
         topology, snapshot, inputs = random_epoch(10, 4)
-        with ValidationEngine(topology, mode=mode) as serial:
+        with ValidationEngine(topology) as serial:
             reference = serial.validate(snapshot, inputs)
-        with ValidationEngine(topology, mode=mode, backend="vector") as engine:
+        with ValidationEngine(topology, backend="vector") as engine:
             for replay in range(3):
                 report = engine.validate(snapshot, inputs)
                 assert_reports_identical(
@@ -101,15 +100,18 @@ class TestRandomWorlds:
                 )
 
     def test_vector_records_reuse_on_replay(self):
-        """Unlike the python full path, the vector backend is
-        delta-aware in both modes: an identical replay shows up as
-        reused entities in the stats."""
+        """Unlike the python backend, the vector backend is
+        delta-aware: an identical replay recomputes nothing and serves
+        every unit the priming epoch computed from its state."""
         topology, snapshot, inputs = random_epoch(10, 5)
         with ValidationEngine(topology, backend="vector") as engine:
             engine.validate(snapshot, inputs)
-            primed = engine.stats.total_entities_reused
+            primed = engine.stats.total_entities_recomputed
+            assert primed > 0  # the priming epoch computes everything
+            reused_priming = engine.stats.total_entities_reused
             engine.validate(snapshot, inputs)
-            assert engine.stats.total_entities_reused > primed
+            assert engine.stats.total_entities_recomputed == primed
+            assert engine.stats.total_entities_reused - reused_priming >= primed
 
     def test_model_compiles_once_per_topology(self):
         topology, snapshot, inputs = random_epoch(8, 6)
@@ -126,6 +128,105 @@ class TestRandomWorlds:
             ValidationEngine(topology, backend="numpy")
 
 
+class TestDeltaStreams:
+    """Multi-epoch streams against a fresh serial ``Hodor`` per epoch:
+    whatever the delta state carried over must not show in the report."""
+
+    @pytest.mark.parametrize(
+        "size,seed,churn",
+        [(8, 20, 0.0), (12, 21, 0.05), (16, 22, 0.3), (12, 23, 1.0)],
+    )
+    def test_churned_world_matches_serial(self, size, seed, churn):
+        """Randomized churn streams at several churn rates."""
+        topology, snapshot, inputs = random_epoch(size, seed)
+        rng = random.Random(seed)
+        with ValidationEngine(topology, backend="vector") as engine:
+            for epoch in range(5):
+                serial = Hodor(topology).validate(snapshot, inputs)
+                report = engine.validate(snapshot, inputs)
+                assert_reports_identical(
+                    serial, report, context=f"churn={churn} epoch {epoch}"
+                )
+                snapshot = churn_snapshot(snapshot, churn, rng, float(epoch + 1))
+            if churn == 0.0:
+                # Nothing moved after priming, so nothing may recompute.
+                assert engine.stats.reuse_rate() > 0.7
+
+    @pytest.mark.parametrize("size,seed", [(8, 10), (12, 11)])
+    def test_corruption_appearing_and_disappearing(self, size, seed):
+        """Repairs from the previous epoch dirty this one when they vanish.
+
+        Epoch order: clean -> corrupted (repair appears) -> clean (repair
+        disappears; the repaired values revert) -> corrupted again.  Each
+        transition must propagate through the drain hardening that
+        consumed the repaired flows.
+        """
+        topology, clean_snap, inputs = random_epoch(size, seed)
+        _, corrupt_snap, _ = random_epoch(size, seed, corrupted=True)
+        with ValidationEngine(topology, backend="vector") as engine:
+            for epoch, snap in enumerate(
+                (clean_snap, corrupt_snap, clean_snap, corrupt_snap)
+            ):
+                serial = Hodor(topology).validate(snap, inputs)
+                report = engine.validate(snap, inputs)
+                assert_reports_identical(serial, report, context=f"epoch {epoch}")
+            assert engine.stats.repair_solves > 0
+            # The repeated corrupted epoch replays the identical component,
+            # so the conservation solver cache must have hit.
+            assert engine.stats.repair_reuses > 0
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda inputs: dataclasses.replace(inputs, demand=inputs.demand.scaled(2.0)),
+            lambda inputs: dataclasses.replace(
+                inputs, topology=_without_first_link(inputs.topology)
+            ),
+            lambda inputs: dataclasses.replace(
+                inputs, drains=_flipped_drains(inputs.drains)
+            ),
+        ],
+        ids=["demand-scaled", "believed-link-dropped", "drain-bit-flipped"],
+    )
+    def test_input_change_with_identical_snapshot(self, mutate):
+        """Controller-input changes must dirty the checks even with zero churn."""
+        topology, snapshot, inputs = random_epoch(10, 40)
+        changed_inputs = mutate(inputs)
+        with ValidationEngine(topology, backend="vector") as engine:
+            for epoch, epoch_inputs in enumerate((inputs, changed_inputs, inputs)):
+                serial = Hodor(topology).validate(snapshot, epoch_inputs)
+                report = engine.validate(snapshot, epoch_inputs)
+                assert_reports_identical(serial, report, context=f"epoch {epoch}")
+
+    def test_reset_reprimes_from_scratch(self):
+        """After ``reset()`` the next epoch recomputes everything, correctly."""
+        topology, snapshot, inputs = random_epoch(8, 60)
+        serial = Hodor(topology).validate(snapshot, inputs)
+        with ValidationEngine(topology, backend="vector") as engine:
+            engine.validate(snapshot, inputs)
+            primed = engine.stats.total_entities_recomputed
+            for validator in engine._validators.values():
+                validator.reset()
+            report = engine.validate(snapshot, inputs)
+            assert_reports_identical(serial, report, context="post-reset")
+            assert engine.stats.total_entities_recomputed == 2 * primed
+
+
+def _without_first_link(topology):
+    believed = topology.copy()
+    link = believed.links()[0]
+    believed.remove_link(link.a, link.b)
+    return believed
+
+
+def _flipped_drains(drains):
+    flipped = dataclasses.replace(drains, nodes=dict(drains.nodes))
+    node = sorted(flipped.nodes)[0] if flipped.nodes else None
+    if node is not None:
+        flipped.nodes[node] = not flipped.nodes[node]
+    return flipped
+
+
 class TestFuzzTimelineParity:
     """Hypothesis-driven fault timelines through the vector backend.
 
@@ -137,9 +238,9 @@ class TestFuzzTimelineParity:
     links, malformed drains -- must stay finding-identical.
     """
 
-    @given(seed=st.integers(min_value=0, max_value=500), mode=st.sampled_from(MODES))
+    @given(seed=st.integers(min_value=0, max_value=500))
     @settings(max_examples=12, deadline=None)
-    def test_generated_timeline_parity(self, seed, mode):
+    def test_generated_timeline_parity(self, seed):
         spec = CaseGenerator().generate(seed)
         epochs = []
         references = []
@@ -149,12 +250,12 @@ class TestFuzzTimelineParity:
             epochs.append((outcome.snapshot, outcome.inputs))
             references.append(outcome.report)
         with ValidationEngine(
-            spec.topology, config=spec.hodor_config, mode=mode, backend="vector"
+            spec.topology, config=spec.hodor_config, backend="vector"
         ) as engine:
             for index, (snapshot, inputs) in enumerate(epochs):
                 report = engine.validate(snapshot, inputs)
                 assert_reports_identical(
                     references[index],
                     report,
-                    context=f"seed={seed} mode={mode} epoch={index}",
+                    context=f"seed={seed} epoch={index}",
                 )

@@ -36,9 +36,7 @@ def _stream(spec, epochs, inputs_by_ts, perturb, extra_routers=()):
     assembler = EpochAssembler(
         list(feeds) + list(extra_routers), lateness_s=1.0
     )
-    with ValidationEngine(
-        spec.topology, config=spec.hodor_config, mode="full"
-    ) as engine:
+    with ValidationEngine(spec.topology, config=spec.hodor_config) as engine:
         pipeline = StreamPipeline(
             list(feeds.values()), assembler, engine, inputs_for=inputs_by_ts
         )

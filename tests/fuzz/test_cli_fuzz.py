@@ -77,7 +77,7 @@ class TestFuzzCommand:
         assert main(["fuzz", "--cases", "0"]) == 2
 
     def test_self_test_finds_planted_bug(self, capsys):
-        """The planted incremental-mode divergence is found, shrunk,
+        """The planted vector-mode divergence is found, shrunk,
         and reproduced -- exercising the failure path end to end."""
         code = main(["fuzz", "--budget", "60s", "--self-test", "--seed", "1"])
         out = capsys.readouterr().out

@@ -1,10 +1,9 @@
-"""The oracle's fourth differential mode: the vector backend.
+"""The oracle's ``vector`` mode: the array-compiled engine backend.
 
-PR 7 extends the tri-modal oracle with the array-compiled engine
-backend.  These tests pin that (a) the mode exists and runs clean
-timelines cleanly, and (b) it is load-bearing -- a bug planted in the
-vector path (via the hooks seam) is attributed to the ``vector`` mode,
-not masked by the other three.
+These tests pin that (a) the mode exists and runs clean timelines
+cleanly, and (b) it is load-bearing -- a bug planted in the vector
+path (via the hooks seam) is attributed to the ``vector`` mode, not
+masked by the other two.
 """
 
 import dataclasses
@@ -25,9 +24,9 @@ def _flip_first_verdict(_index, report):
 
 class TestVectorMode:
     def test_vector_is_a_registered_mode(self):
-        assert "vector" in TriModalOracle.MODES
+        assert TriModalOracle.MODES == ("python", "vector", "streamed")
 
-    def test_clean_timelines_pass_all_four_modes(self):
+    def test_clean_timelines_pass_all_three_modes(self):
         oracle = TriModalOracle()
         for seed in (0, 1, 2):
             result = oracle.run(CaseGenerator().generate(seed))

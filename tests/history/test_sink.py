@@ -192,18 +192,18 @@ class TestEngineWriteThrough:
         assert all(row.sealed_by == "batch" for row in rows)
         assert registry.get("history_epochs_written_total").value == 2
 
-    def test_incremental_mode_also_records(self, tmp_path):
+    def test_vector_backend_also_records(self, tmp_path):
         topology, snapshot, inputs = random_epoch(8, 0)
         with HistorySink(
             HistoryConfig(path=str(tmp_path / "h.db"), deterministic=True)
         ) as sink:
             with ValidationEngine(
-                topology, mode="incremental", history=sink
+                topology, backend="vector", history=sink
             ) as engine:
                 engine.validate(snapshot, inputs)
                 engine.validate(snapshot, inputs)  # cache-hit fast path
             rows = sink.store.epochs()
-        assert [row.mode for row in rows] == ["incremental", "incremental"]
+        assert [row.backend for row in rows] == ["vector", "vector"]
 
 
 class TestByteReproducibility:

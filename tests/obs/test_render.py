@@ -36,7 +36,7 @@ def flagged_tracer():
         "redundancies": ["R1"],
     }
     for epoch in range(2):
-        with tracer.span("epoch", epoch=epoch, mode="full"):
+        with tracer.span("epoch", epoch=epoch):
             clock.tick(0.001)
             with tracer.span("check", category="stage"):
                 clock.tick(0.002)

@@ -12,7 +12,7 @@ def traced_epoch(clock=None):
     """A small, fully deterministic span tree driven by a manual clock."""
     clock = clock or ManualClock()
     tracer = Tracer(clock=clock)
-    with tracer.span("epoch", epoch=0, mode="full") as epoch:
+    with tracer.span("epoch", epoch=0) as epoch:
         clock.tick(0.001)
         with tracer.span("collect", category="stage"):
             clock.tick(0.002)
@@ -48,7 +48,7 @@ class TestSpanTree:
     def test_annotations_and_kwargs_land_in_args(self):
         tracer = traced_epoch()
         events = {e["name"]: e for e in tracer.events()}
-        assert events["epoch"]["args"] == {"epoch": 0, "mode": "full", "cache_hit": False}
+        assert events["epoch"]["args"] == {"epoch": 0, "cache_hit": False}
         assert events["shard"]["args"] == {"shard": 0, "items": 10}
         assert events["verdict"]["args"] == {"input": "demand", "valid": True}
 

@@ -4,8 +4,8 @@ The acceptance bar for the streaming subsystem: replaying every
 catalog scenario's timeline through perturbation-free feeds, the
 assembler, and the ingest pipeline must produce validation reports
 that are observably identical to the batch path's -- verdict for
-verdict AND provenance record for provenance record -- in both full
-and incremental engine modes.
+verdict AND provenance record for provenance record -- on both engine
+backends.
 """
 
 import pytest
@@ -21,11 +21,11 @@ def _provenance_dict(report):
     return {name: record.to_dict() for name, record in report.provenance.items()}
 
 
-def _stream_reports(world, epochs, inputs_by_ts, mode, perturb=None, seed=0):
+def _stream_reports(world, epochs, inputs_by_ts, backend, perturb=None, seed=0):
     feeds = make_feeds(epochs, perturb=perturb, seed=seed)
     assembler = EpochAssembler(list(feeds), lateness_s=1.0)
     with ValidationEngine(
-        world.topology, config=world.hodor_config, mode=mode
+        world.topology, config=world.hodor_config, backend=backend
     ) as engine:
         pipeline = StreamPipeline(
             list(feeds.values()), assembler, engine, inputs_for=inputs_by_ts
@@ -45,11 +45,12 @@ def _timeline(world):
 
 @pytest.mark.parametrize("scenario", all_scenarios(), ids=lambda s: s.scenario_id)
 def test_streamed_timeline_matches_batch_in_both_modes(scenario):
-    """Every catalog scenario, streamed, in full AND incremental mode."""
+    """Every catalog scenario, streamed, in both engine modes: the python
+    AND the vector backend."""
     world = scenario.build(seed=7)
     epochs, inputs_by_ts, batch_reports = _timeline(world)
-    for mode in ("full", "incremental"):
-        result = _stream_reports(world, epochs, inputs_by_ts, mode)
+    for backend in ("python", "vector"):
+        result = _stream_reports(world, epochs, inputs_by_ts, backend)
         assert len(result.reports) == EPOCHS
         assert result.complete_epochs == EPOCHS
         assert result.late_dropped == 0
@@ -57,10 +58,10 @@ def test_streamed_timeline_matches_batch_in_both_modes(scenario):
         for index, (batch, streamed) in enumerate(zip(batch_reports, result.reports)):
             diffs = compare_reports(batch, streamed)
             assert not diffs, (
-                f"{scenario.scenario_id} {mode} epoch {index}: {diffs[:5]}"
+                f"{scenario.scenario_id} {backend} epoch {index}: {diffs[:5]}"
             )
             assert _provenance_dict(batch) == _provenance_dict(streamed), (
-                f"{scenario.scenario_id} {mode} epoch {index}: provenance diverged"
+                f"{scenario.scenario_id} {backend} epoch {index}: provenance diverged"
             )
 
 
@@ -71,7 +72,7 @@ def test_in_window_reordering_is_verdict_invisible(scenario_id):
     world = scenario_by_id(scenario_id).build(seed=7)
     epochs, inputs_by_ts, batch_reports = _timeline(world)
     perturb = Perturbations(reorder=0.5, duplicate=0.3, reorder_jitter_s=0.4)
-    result = _stream_reports(world, epochs, inputs_by_ts, "full", perturb=perturb, seed=11)
+    result = _stream_reports(world, epochs, inputs_by_ts, "python", perturb=perturb, seed=11)
     assert result.duplicates > 0  # the perturbation actually fired
     assert len(result.reports) == EPOCHS
     assert result.complete_epochs == EPOCHS
