@@ -34,6 +34,7 @@ from repro.core.flow_repair import (
 from repro.core.hardening import Hardener
 from repro.core.invariants import (
     CheckResult,
+    CheckTally,
     Invariant,
     InvariantResult,
     InvariantStatus,
@@ -76,6 +77,7 @@ __all__ = [
     "AlertOnlyPolicy",
     "CalibrationResult",
     "CheckResult",
+    "CheckTally",
     "CollectedCounter",
     "CollectedState",
     "CollectedStatus",

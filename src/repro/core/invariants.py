@@ -12,9 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-__all__ = ["InvariantStatus", "Invariant", "InvariantResult", "CheckResult", "relative_error"]
+__all__ = [
+    "InvariantStatus",
+    "Invariant",
+    "InvariantResult",
+    "CheckTally",
+    "CheckResult",
+    "relative_error",
+]
 
 
 def relative_error(lhs: float, rhs: float, floor: float = 1e-6) -> float:
@@ -80,6 +87,37 @@ class InvariantResult:
         return f"[{self.status.value}] {self.invariant.name}: {self.invariant.description} (err={error})"
 
 
+class CheckTally(NamedTuple):
+    """What one walk of a :class:`CheckResult`'s results learns.
+
+    Attributes:
+        violations: The violated results, in ``results`` order.
+        num_evaluated: Results that are not skipped.
+        num_results: ``len(results)`` when the tally was taken.
+    """
+
+    violations: Tuple[InvariantResult, ...]
+    num_evaluated: int
+    num_results: int
+
+    @property
+    def num_skipped(self) -> int:
+        return self.num_results - self.num_evaluated
+
+    @classmethod
+    def of(cls, results: Sequence[InvariantResult]) -> "CheckTally":
+        """Tally ``results`` in one pass."""
+        violations = []
+        skipped = 0
+        for result in results:
+            status = result.status
+            if status == InvariantStatus.VIOLATED:
+                violations.append(result)
+            elif status == InvariantStatus.SKIPPED:
+                skipped += 1
+        return cls(tuple(violations), len(results) - skipped, len(results))
+
+
 @dataclass
 class CheckResult:
     """Outcome of dynamically checking one controller input.
@@ -88,31 +126,72 @@ class CheckResult:
         input_name: ``"demand"``, ``"topology"``, or ``"drain"``.
         results: Every invariant evaluated.
         notes: Free-form context (e.g. why invariants were skipped).
+
+    ``violations``, ``passed``, ``num_evaluated`` and ``num_skipped``
+    all read one :attr:`tally`.  It is taken by walking ``results`` once
+    and kept until ``results`` is rebound or changes length; a producer
+    that already counted per entity (the vector backend) hands its tally
+    over with :meth:`hand_over` instead, under the same rule.  Replacing
+    an element of ``results`` in place is not seen.
     """
 
     input_name: str
     results: List[InvariantResult] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
+    #: ``(results list the tally is of, tally)``.
+    _tallied: Optional[Tuple[List[InvariantResult], CheckTally]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def tally(self) -> CheckTally:
+        """Violations and counts of the current ``results``."""
+        results = self.results
+        tallied = self._tallied
+        if (
+            tallied is not None
+            and tallied[0] is results
+            and tallied[1].num_results == len(results)
+        ):
+            return tallied[1]
+        tally = CheckTally.of(results)
+        self._tallied = (results, tally)
+        return tally
+
+    def hand_over(self, violations: Iterable[InvariantResult], num_evaluated: int) -> None:
+        """Accept the producer's own tally of the current ``results``.
+
+        ``violations`` must be the violated results in ``results`` order
+        and ``num_evaluated`` the count of non-skipped ones;
+        :func:`repro.engine.diff.compare_reports` reports a tally that a
+        walk of ``results`` contradicts.
+        """
+        self._tallied = (
+            self.results,
+            CheckTally(tuple(violations), num_evaluated, len(self.results)),
+        )
 
     @property
     def violations(self) -> List[InvariantResult]:
-        return [r for r in self.results if r.violated]
+        """The violated results, as a list the caller owns."""
+        return list(self.tally.violations)
 
     @property
     def passed(self) -> bool:
         """True when no invariant was violated."""
-        return not self.violations
+        return not self.tally.violations
 
     @property
     def num_evaluated(self) -> int:
-        return sum(1 for r in self.results if r.status != InvariantStatus.SKIPPED)
+        return self.tally.num_evaluated
 
     @property
     def num_skipped(self) -> int:
-        return sum(1 for r in self.results if r.status == InvariantStatus.SKIPPED)
+        return self.tally.num_skipped
 
     def summary(self) -> str:
+        tally = self.tally
         return (
-            f"{self.input_name}: {len(self.violations)} violated / "
-            f"{self.num_evaluated} evaluated ({self.num_skipped} skipped)"
+            f"{self.input_name}: {len(tally.violations)} violated / "
+            f"{tally.num_evaluated} evaluated ({tally.num_skipped} skipped)"
         )

@@ -163,14 +163,8 @@ class Hodor:
 
     @staticmethod
     def _record(report: ValidationReport, check: CheckResult) -> None:
-        violations = check.violations
         report.checks[check.input_name] = check
-        report.verdicts[check.input_name] = InputVerdict(
-            input_name=check.input_name,
-            valid=not violations,
-            num_violations=len(violations),
-            num_evaluated=check.num_evaluated,
-        )
+        report.verdicts[check.input_name] = InputVerdict.from_tally(check.input_name, check.tally)
         report.provenance[check.input_name] = _provenance.build_provenance(
-            check, report.hardened, violations=violations
+            check, report.hardened
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List
 
-from repro.core.invariants import CheckResult
+from repro.core.invariants import CheckResult, CheckTally
 from repro.core.signals import Finding, FindingSeverity, HardenedState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -35,6 +35,15 @@ class InputVerdict:
     valid: bool
     num_violations: int
     num_evaluated: int
+
+    @classmethod
+    def from_tally(cls, input_name: str, tally: CheckTally) -> "InputVerdict":
+        return cls(
+            input_name=input_name,
+            valid=not tally.violations,
+            num_violations=len(tally.violations),
+            num_evaluated=tally.num_evaluated,
+        )
 
 
 @dataclass
@@ -99,10 +108,11 @@ class ValidationReport:
             )
             check = self.checks.get(name)
             if check:
-                for violation in check.violations[:10]:
+                violations = check.tally.violations
+                for violation in violations[:10]:
                     lines.append(f"         - {violation.describe()}")
-                if len(check.violations) > 10:
-                    lines.append(f"         ... {len(check.violations) - 10} more")
+                if len(violations) > 10:
+                    lines.append(f"         ... {len(violations) - 10} more")
         noteworthy = [
             f for f in self.hardened.findings if f.severity != FindingSeverity.INFO
         ]

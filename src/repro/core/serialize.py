@@ -57,14 +57,16 @@ def check_result_to_dict(check: CheckResult, include_passed: bool = False) -> Di
         include_passed: Also include passed/skipped invariants (the
             default keeps payloads alert-sized: violations only).
     """
-    results = check.results if include_passed else check.violations
+    tally = check.tally
     return {
         "input": check.input_name,
-        "passed": check.passed,
-        "num_evaluated": check.num_evaluated,
-        "num_skipped": check.num_skipped,
-        "violations": [invariant_result_to_dict(r) for r in check.violations],
-        "results": [invariant_result_to_dict(r) for r in results] if include_passed else None,
+        "passed": not tally.violations,
+        "num_evaluated": tally.num_evaluated,
+        "num_skipped": tally.num_skipped,
+        "violations": [invariant_result_to_dict(r) for r in tally.violations],
+        "results": (
+            [invariant_result_to_dict(r) for r in check.results] if include_passed else None
+        ),
         "notes": list(check.notes),
     }
 

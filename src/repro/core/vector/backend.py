@@ -24,7 +24,10 @@ compiled :class:`~repro.core.vector.model.VectorModel` arrays:
   epochs allocate almost nothing;
 - **dynamic checks** gather per-entity signature arrays in the
   checkers' sorted orders and call the serial per-entity check units
-  only for entities whose signature moved.
+  only for entities whose signature moved; each entity's results are
+  kept beside their tally (violated and evaluated counts), so a
+  report's ``CheckResult`` and its counts are put together without
+  walking the results of entities that did not move.
 
 Parity contract (enforced by ``tests/engine/test_vector.py`` and the
 fuzz oracle's ``vector`` mode): reports -- findings, invariants,
@@ -49,6 +52,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
+from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -57,7 +61,7 @@ import numpy as np
 from repro.core.demand_check import DemandChecker
 from repro.core.drain_reasons import DrainReason
 from repro.core.flow_repair import ConservationSolveCache
-from repro.core.invariants import CheckResult
+from repro.core.invariants import CheckResult, CheckTally, InvariantResult
 from repro.core.link_status import combine_codes
 from repro.core.pipeline import Hodor
 from repro.core.report import ValidationReport
@@ -168,7 +172,74 @@ def _neq(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[np.ndarra
     """
     if a is b:
         return None
-    return ~((a == b) | (np.isnan(a) & np.isnan(b)))
+    moved = a != b
+    # NaN != NaN, so an epoch that moved nothing and holds no NaN ends here.
+    if moved.any():
+        moved &= ~(np.isnan(a) & np.isnan(b))
+    return moved
+
+
+class _CheckEntries:
+    """One check family's per-entity entries, each beside its tally.
+
+    :meth:`store` is the only writer: an entity's results, notes and
+    counts change together, when its ``check_*_entity`` unit is re-run.
+    :meth:`flat` is what a report is built from, and costs nothing on an
+    epoch that stored nothing.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.results = np.empty(size, dtype=object)
+        self.notes = np.empty(size, dtype=object)
+        self.num_violated = np.zeros(size, dtype=np.int64)
+        self.num_evaluated = np.zeros(size, dtype=np.int64)
+        self._flat: Optional[Tuple[tuple, tuple, CheckTally]] = None
+
+    def store(
+        self, i: int, results: Tuple[InvariantResult, ...], notes: Tuple[str, ...] = ()
+    ) -> None:
+        tally = CheckTally.of(results)
+        self.results[i] = results
+        self.notes[i] = notes
+        self.num_violated[i] = len(tally.violations)
+        self.num_evaluated[i] = tally.num_evaluated
+        self._flat = None
+
+    def flat(self) -> Tuple[tuple, tuple, CheckTally]:
+        """``(results, notes, tally)`` over every entity in order,
+        re-flattened only after a :meth:`store`; the violations come
+        from the entities whose violated count is non-zero."""
+        if self._flat is None:
+            results = tuple(chain.from_iterable(self.results.tolist()))
+            hit = np.flatnonzero(self.num_violated)
+            self._flat = (
+                results,
+                tuple(chain.from_iterable(self.notes.tolist())),
+                CheckTally(
+                    tuple(r for entry in self.results[hit].tolist() for r in entry if r.violated),
+                    int(self.num_evaluated.sum()),
+                    len(results),
+                ),
+            )
+        return self._flat
+
+
+def _check_result(
+    input_name: str, *families: _CheckEntries, notes: Sequence[str] = ()
+) -> CheckResult:
+    """The families' entries as one report-owned :class:`CheckResult`
+    (fresh lists, headed by ``notes``) with their tallies handed over."""
+    flats = [family.flat() for family in families]
+    result = CheckResult(
+        input_name,
+        results=list(chain.from_iterable(results for results, _, _ in flats)),
+        notes=[*notes, *chain.from_iterable(family_notes for _, family_notes, _ in flats)],
+    )
+    result.hand_over(
+        chain.from_iterable(tally.violations for _, _, tally in flats),
+        sum(tally.num_evaluated for _, _, tally in flats),
+    )
+    return result
 
 
 class _PackedStatuses:
@@ -371,7 +442,7 @@ class VectorValidator:
         self._ld_fnds = np.empty(m.num_links, dtype=object)
         self._ld_has = np.zeros(m.num_links, dtype=bool)
 
-        # -- check signatures + entry arrays (sorted orders)
+        # -- check signatures + per-entity entries (sorted orders)
         self._dem_nodes: Optional[tuple] = None
         self._dem_arr: Optional[np.ndarray] = None
         self._dem_member: Optional[np.ndarray] = None
@@ -381,19 +452,19 @@ class VectorValidator:
         self._dem_eirep: Optional[np.ndarray] = None
         self._dem_eorep: Optional[np.ndarray] = None
         self._prev_total_dropped: Optional[float] = None
-        self._demand_entries = np.empty(m.num_nodes, dtype=object)
+        self._demand_entries = _CheckEntries(m.num_nodes)
         self._topo_bits: Optional[np.ndarray] = None
         self._topo_cats_sig: Optional[np.ndarray] = None
-        self._topo_entries = np.empty(m.num_links, dtype=object)
+        self._topo_entries = _CheckEntries(m.num_links)
         self._topo_serial = False
         self._dn_bits: Optional[np.ndarray] = None
         self._dn_cats_sig: Optional[np.ndarray] = None
         self._dn_cc_sig: Optional[np.ndarray] = None
         self._dn_hf_sig: Optional[np.ndarray] = None
-        self._dn_entries = np.empty(m.num_nodes, dtype=object)
+        self._dn_entries = _CheckEntries(m.num_nodes)
         self._dl_bits: Optional[np.ndarray] = None
         self._dl_cats_sig: Optional[np.ndarray] = None
-        self._dl_entries = np.empty(m.num_links, dtype=object)
+        self._dl_entries = _CheckEntries(m.num_links)
 
     # ------------------------------------------------------------------
 
@@ -1395,8 +1466,8 @@ class VectorValidator:
 
         sorted_nodes = cache.sorted_nodes
         for i in dirty_idx:
-            self._demand_entries[i] = checker.check_node_entity(
-                demand, state, sorted_nodes[i], total_dropped
+            self._demand_entries.store(
+                i, *checker.check_node_entity(demand, state, sorted_nodes[i], total_dropped)
             )
         self._stats.record_reuse("check.demand", len(dirty_idx), N - len(dirty_idx))
 
@@ -1406,13 +1477,12 @@ class VectorValidator:
         self._dem_eirep, self._dem_eorep = eirep_s, eorep_s
         self._prev_total_dropped = total_dropped
 
-        result = CheckResult(input_name="demand")
         floor = max(self._config.rate_floor, self._config.active_threshold)
-        if total_dropped > floor:
-            result.notes.append(DemandChecker.dropped_note(total_dropped))
-        for invariants, notes in self._demand_entries.tolist():
-            result.results.extend(invariants)
-            result.notes.extend(notes)
+        result = _check_result(
+            "demand",
+            self._demand_entries,
+            notes=(DemandChecker.dropped_note(total_dropped),) if total_dropped > floor else (),
+        )
         skipped = result.num_skipped
         if skipped:
             result.notes.append(DemandChecker.skipped_note(skipped))
@@ -1435,9 +1505,7 @@ class VectorValidator:
             return checker.check(inputs.topology, state)
 
         L = m.num_links
-        bits = np.fromiter(
-            (name in believed for name in cache.sorted_link_names), bool, count=L
-        )
+        bits = np.fromiter(map(believed.__contains__, cache.sorted_link_names), bool, count=L)
         cats_s = self._ls_cats[m.sorted_link_idx]
         if self._primed and not self._topo_serial and self._topo_bits is not None:
             moved = (
@@ -1452,19 +1520,15 @@ class VectorValidator:
         sorted_names = cache.sorted_link_names
         for i in dirty_idx:
             name = sorted_names[i]
-            self._topo_entries[i] = checker.check_link_entity(
-                name, bool(bits[i]), state.links.get(name)
+            self._topo_entries.store(
+                i, *checker.check_link_entity(name, bool(bits[i]), state.links.get(name))
             )
         self._stats.record_reuse("check.topology", len(dirty_idx), L - len(dirty_idx))
         self._topo_bits = bits
         self._topo_cats_sig = cats_s
         self._topo_serial = False
 
-        result = CheckResult(input_name="topology")
-        for conditions, notes in self._topo_entries.tolist():
-            result.results.extend(conditions)
-            result.notes.extend(notes)
-        return result
+        return _check_result("topology", self._topo_entries)
 
     def _check_drain(self, inputs: ControllerInputs, state: HardenedState):
         m = self._model
@@ -1472,18 +1536,11 @@ class VectorValidator:
         checker = self._components.drain
         N, L = m.num_nodes, m.num_links
 
-        node_bits = np.fromiter(
-            (bool(inputs.drains.is_node_drained(node)) for node in cache.sorted_nodes),
-            bool,
-            count=N,
-        )
+        # A bool column takes each answer by its truth value.
+        drains = inputs.drains
+        node_bits = np.fromiter(map(drains.is_node_drained, cache.sorted_nodes), bool, count=N)
         link_bits = np.fromiter(
-            (
-                bool(inputs.drains.is_link_drained(name))
-                for name in cache.sorted_link_names
-            ),
-            bool,
-            count=L,
+            map(drains.is_link_drained, cache.sorted_link_names), bool, count=L
         )
 
         usable = np.zeros(L, dtype=bool)
@@ -1516,12 +1573,15 @@ class VectorValidator:
             dirty_links = list(range(L))
 
         for i in dirty_nodes:
-            self._dn_entries[i] = checker.check_node_entity(
-                inputs.drains, state, cache.node_links, cache.sorted_nodes[i]
+            self._dn_entries.store(
+                i,
+                *checker.check_node_entity(
+                    inputs.drains, state, cache.node_links, cache.sorted_nodes[i]
+                ),
             )
         for i in dirty_links:
-            self._dl_entries[i] = checker.check_link_entity(
-                inputs.drains, state, cache.sorted_link_names[i]
+            self._dl_entries.store(
+                i, checker.check_link_entity(inputs.drains, state, cache.sorted_link_names[i])
             )
         recomputed = len(dirty_nodes) + len(dirty_links)
         self._stats.record_reuse("check.drain", recomputed, N + L - recomputed)
@@ -1530,10 +1590,4 @@ class VectorValidator:
         self._dn_cats_sig, self._dn_cc_sig, self._dn_hf_sig = nc_s, cc_s, hf_s
         self._dl_cats_sig = lc_s
 
-        result = CheckResult(input_name="drain")
-        for conditions, notes in self._dn_entries.tolist():
-            result.results.extend(conditions)
-            result.notes.extend(notes)
-        for conditions in self._dl_entries.tolist():
-            result.results.extend(conditions)
-        return result
+        return _check_result("drain", self._dn_entries, self._dl_entries)

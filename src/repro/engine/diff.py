@@ -13,6 +13,14 @@ same order, so they should agree bitwise -- except values the R2
 repair produced (confidence ``REPAIRED``), which come out of
 ``numpy.linalg.lstsq`` and are allowed a tight ``math.isclose``
 tolerance to stay robust against BLAS-level nondeterminism.
+
+Each report is also checked against itself: a
+:class:`~repro.core.invariants.CheckResult` whose tally (handed over by
+the vector backend, or cached from an earlier walk) disagrees with a
+fresh walk of its own ``results``, or an ``InputVerdict`` whose counts
+disagree with that walk, is a difference -- so every differential suite
+and fuzz mode catches a wrong tally even when both sides would agree on
+it.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-from repro.core.report import ValidationReport
+from repro.core.invariants import CheckTally
+from repro.core.report import InputVerdict, ValidationReport
 from repro.core.signals import Confidence, HardenedState, HardenedValue
 
 __all__ = ["compare_reports"]
@@ -93,6 +102,33 @@ def _compare_hardened(
                 diffs.append(f"{attr}[{key!r}]: {map_a[key]} != {map_b[key]}")
 
 
+def _compare_with_own_results(side: str, report: ValidationReport, diffs: List[str]) -> None:
+    """One report's tallies and verdict counts against a walk of its results."""
+    for name in sorted(report.checks):
+        check = report.checks[name]
+        walked = CheckTally.of(check.results)
+        tally = check.tally
+        same_violations = len(tally.violations) == len(walked.violations) and all(
+            held is found for held, found in zip(tally.violations, walked.violations)
+        )
+        if not same_violations or (tally.num_evaluated, tally.num_results) != (
+            walked.num_evaluated,
+            walked.num_results,
+        ):
+            diffs.append(
+                f"{side}.checks[{name!r}]: tally of {len(tally.violations)} violated / "
+                f"{tally.num_evaluated} evaluated / {tally.num_results} results, but its "
+                f"results walk to {len(walked.violations)} / {walked.num_evaluated} / "
+                f"{walked.num_results}"
+            )
+        verdict = report.verdicts.get(name)
+        if verdict is not None and verdict != InputVerdict.from_tally(verdict.input_name, walked):
+            diffs.append(
+                f"{side}.verdicts[{name!r}]: {verdict} but its check walks to "
+                f"{len(walked.violations)} violated / {walked.num_evaluated} evaluated"
+            )
+
+
 def compare_reports(
     a: ValidationReport,
     b: ValidationReport,
@@ -116,6 +152,8 @@ def compare_reports(
         diffs.append(f"timestamp: {a.timestamp!r} != {b.timestamp!r}")
 
     _compare_hardened(a.hardened, b.hardened, diffs, repair_tolerance)
+    _compare_with_own_results("a", a, diffs)
+    _compare_with_own_results("b", b, diffs)
 
     if list(a.verdicts) != list(b.verdicts):
         diffs.append(f"verdicts: key order {list(a.verdicts)} != {list(b.verdicts)}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.invariants import CheckResult, InvariantResult
+from repro.core.invariants import CheckResult
 from repro.core.signals import (
     Confidence,
     Finding,
@@ -253,21 +253,11 @@ def _implicated_redundancies(
     return tuple(sorted(codes))
 
 
-def build_provenance(
-    check: CheckResult,
-    hardened: HardenedState,
-    violations: Optional[List[InvariantResult]] = None,
-) -> VerdictProvenance:
-    """Derive the provenance record for one input's check result.
-
-    ``violations`` may be passed when the caller already computed
-    ``check.violations`` (the pipeline does, for the verdict); it must
-    equal ``check.violations``.
-    """
-    if violations is None:
-        violations = check.violations
+def build_provenance(check: CheckResult, hardened: HardenedState) -> VerdictProvenance:
+    """Derive the provenance record for one input's check result."""
+    tally = check.tally
     fired: List[FiredInvariant] = []
-    for result in violations:
+    for result in tally.violations:
         invariant = result.invariant
         kind, entity = _split_name(invariant.name)
         fired.append(
@@ -284,7 +274,7 @@ def build_provenance(
         input_name=check.input_name,
         valid=not fired,
         num_violations=len(fired),
-        num_evaluated=check.num_evaluated,
+        num_evaluated=tally.num_evaluated,
         fired=tuple(fired),
         redundancies=_implicated_redundancies(hardened.findings, tuple(fired)),
     )

@@ -9,7 +9,7 @@ now flags that pattern; these tests pin the fixed behaviour: diff
 lines come out sorted by key, independent of dict insertion order.
 """
 
-from repro.core.invariants import CheckResult
+from repro.core.invariants import CheckResult, Invariant
 from repro.core.report import InputVerdict, ValidationReport
 from repro.core.signals import HardenedState
 from repro.engine import compare_reports
@@ -24,7 +24,17 @@ def _report(verdict_names, note, order):
             num_violations=1 if name in verdict_names else 0,
             num_evaluated=3,
         )
-        report.checks[name] = CheckResult(input_name=name, notes=[note])
+        # Three evaluated results, one violated when the verdict says so:
+        # compare_reports also holds each report to its own results.
+        rhs = [0.0 if name in verdict_names else 1.0, 1.0, 1.0]
+        report.checks[name] = CheckResult(
+            input_name=name,
+            results=[
+                Invariant(f"{name}/{i}", "lhs == rhs", 1.0, value, 0.0).evaluate()
+                for i, value in enumerate(rhs)
+            ],
+            notes=[note],
+        )
     return report
 
 

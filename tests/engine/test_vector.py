@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.drain_check import DrainChecker
 from repro.core.pipeline import Hodor
 from repro.engine import ValidationEngine, compare_reports
 from repro.experiments import churn_snapshot
@@ -27,6 +28,7 @@ from repro.fuzz.generate import CaseGenerator
 from repro.scenarios.catalog import all_scenarios
 
 from tests.engine.conftest import random_epoch
+from tests.engine.test_vector_events import base_rows, seal
 
 
 def _provenance_dict(report):
@@ -225,6 +227,136 @@ def _flipped_drains(drains):
     if node is not None:
         flipped.nodes[node] = not flipped.nodes[node]
     return flipped
+
+
+def _with_link_drained(drains):
+    drained = dataclasses.replace(drains, links=dict(drains.links))
+    name = sorted(drained.links)[0]
+    drained.links[name] = not drained.links[name]
+    return drained
+
+
+def _check_families(validator):
+    return (
+        validator._demand_entries,
+        validator._topo_entries,
+        validator._dn_entries,
+        validator._dl_entries,
+    )
+
+
+class TestReportsOwnTheirLists:
+    """A report is built from the validator's per-entity entries and
+    cached flattenings but never shares a list with them: whatever a
+    caller does to a report it was handed, the next epoch's report is
+    the oracle's."""
+
+    @staticmethod
+    def _vandalise(report):
+        for check in report.checks.values():
+            violations = check.violations
+            violations.clear()
+            violations.append("not a result")
+            check.results.clear()
+            check.results.append("not a result")
+            check.notes.clear()
+            check.notes.append("not a note")
+
+    @staticmethod
+    def _untouched(report):
+        return (report.timestamp, dict(report.verdicts), _provenance_dict(report))
+
+    def test_mutating_a_report_never_reaches_the_next_epoch(self):
+        topology, snapshot, inputs = random_epoch(10, 40)
+        # A believed link dropped: the topology input has violations, so
+        # the handed-over violation gather is not vacuous.
+        inputs = dataclasses.replace(inputs, topology=_without_first_link(inputs.topology))
+        churned = churn_snapshot(snapshot, 0.3, random.Random(40), 1.0)
+        events = seal(base_rows(snapshot), snapshot.timestamp)
+        steps = [
+            ("priming", lambda e: e.validate(snapshot, inputs)),
+            ("changed snapshot", lambda e: e.validate(churned, inputs)),
+            ("replay of the same object", lambda e: e.validate(churned, inputs)),
+            ("events", lambda e: e.validate_events(events, snapshot.timestamp, inputs)),
+            ("snapshot after events", lambda e: e.validate(snapshot, inputs)),
+        ]
+        with ValidationEngine(topology, backend="python") as oracle, ValidationEngine(
+            topology, backend="vector"
+        ) as engine:
+            previous = None
+            for label, step in steps:
+                report = step(engine)
+                assert_reports_identical(step(oracle), report, context=label)
+                assert report.checks["topology"].violations, label
+                if previous is not None:
+                    assert self._untouched(previous[0]) == previous[1], label
+                previous = (report, self._untouched(report))
+                self._vandalise(report)
+
+    def test_violations_returns_a_list_of_its_own(self):
+        topology, snapshot, inputs = random_epoch(10, 40)
+        inputs = dataclasses.replace(inputs, topology=_without_first_link(inputs.topology))
+        with ValidationEngine(topology, backend="vector") as engine:
+            check = engine.validate(snapshot, inputs).checks["topology"]
+        first = check.violations
+        assert first and first is not check.violations
+        first.append("not a result")
+        assert check.violations == first[:-1]
+
+    def test_reset_after_an_exception_mid_check_drops_tallies(self, monkeypatch):
+        topology, snapshot, inputs = random_epoch(8, 61)
+        changed = dataclasses.replace(inputs, drains=_with_link_drained(inputs.drains))
+        with ValidationEngine(topology, backend="vector") as engine:
+            engine.validate(snapshot, inputs)
+            validator = next(iter(engine._validators.values()))
+            assert all(family._flat is not None for family in _check_families(validator))
+
+            def boom(*_args, **_kwargs):
+                raise RuntimeError("mid-check")
+
+            # Demand, topology and the drain nodes are done by the time
+            # the one dirty link reaches its unit.
+            monkeypatch.setattr(DrainChecker, "check_link_entity", boom)
+            with pytest.raises(RuntimeError, match="mid-check"):
+                engine.validate(snapshot, changed)
+            monkeypatch.undo()
+
+            assert not validator._primed
+            for family in _check_families(validator):
+                assert family._flat is None
+                assert not family.num_violated.any() and not family.num_evaluated.any()
+                assert all(entry is None for entry in family.results.tolist())
+            assert_reports_identical(
+                Hodor(topology).validate(snapshot, changed),
+                engine.validate(snapshot, changed),
+                context="post-exception",
+            )
+
+    def test_compare_reports_catches_a_tally_off_by_one(self, monkeypatch):
+        """The planted mutant: one dirty entity's evaluated count is
+        written one too high.  Verdict, provenance and fingerprint all
+        carry the wrong count; the report's own results give it away."""
+        topology, snapshot, inputs = random_epoch(8, 62)
+        changed = dataclasses.replace(inputs, drains=_flipped_drains(inputs.drains))
+        with ValidationEngine(topology, backend="vector") as engine:
+            engine.validate(snapshot, inputs)
+            validator = next(iter(engine._validators.values()))
+            family = validator._dn_entries
+            store = family.store
+
+            def off_by_one(i, results, notes=()):
+                store(i, results, notes)
+                family.num_evaluated[i] += 1
+
+            monkeypatch.setattr(family, "store", off_by_one)
+            report = engine.validate(snapshot, changed)
+        reference = Hodor(topology).validate(snapshot, changed)
+        diffs = compare_reports(reference, report)
+        assert any(d.startswith("b.checks['drain']: tally") for d in diffs), diffs
+        assert any(d.startswith("b.verdicts['drain']") for d in diffs), diffs
+        # The same report on the reference side is caught there too, and
+        # two copies of the mutant do not vouch for each other.
+        assert any(d.startswith("a.checks['drain']") for d in compare_reports(report, report))
 
 
 class TestFuzzTimelineParity:

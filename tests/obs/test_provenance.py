@@ -180,3 +180,19 @@ class TestPipelineIntegration:
                 for fired in record.fired:
                     assert fired.name
                     assert fired.signals  # ... and the signals that fed them
+
+
+def test_build_provenance_reads_the_checks_own_tally():
+    """No ``violations=`` to keep in step with the check by hand: the
+    record's counts are the check's tally, handed over or walked."""
+    import inspect
+
+    assert list(inspect.signature(build_provenance).parameters) == ["check", "hardened"]
+    fired, passed = violated("topology/live-iff-up/a~b"), InvariantResult(
+        Invariant("topology/live-iff-up/a~c", "ok", 1.0, 1.0, 0.0), InvariantStatus.PASSED, 0.0
+    )
+    check = check_with("topology", fired, passed)
+    check.hand_over([fired], num_evaluated=2)
+    record = build_provenance(check, HardenedState())
+    assert (record.num_violations, record.num_evaluated) == (1, 2)
+    assert [invariant.name for invariant in record.fired] == [fired.invariant.name]

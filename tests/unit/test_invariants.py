@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.invariants import (
     CheckResult,
+    CheckTally,
     Invariant,
     InvariantResult,
     InvariantStatus,
@@ -88,3 +89,58 @@ class TestCheckResult:
     def test_summary(self):
         check = CheckResult("drain", results=[self._result(InvariantStatus.PASSED)])
         assert "drain" in check.summary()
+
+
+class TestCheckResultTally:
+    """One walk serves every reader, and is taken again exactly when
+    ``results`` was rebound or changed length since."""
+
+    def _result(self, status):
+        return InvariantResult(Invariant("i", "d", 1.0, 1.0, 0.0), status, None)
+
+    def test_a_read_before_an_append_is_not_served_stale(self):
+        # DemandChecker.check reads num_skipped on the result it is still
+        # building; callers extend results by hand afterwards.
+        check = CheckResult("demand", results=[self._result(InvariantStatus.SKIPPED)])
+        assert (check.num_skipped, check.num_evaluated, check.passed) == (1, 0, True)
+        violated = self._result(InvariantStatus.VIOLATED)
+        check.results.extend([violated, self._result(InvariantStatus.PASSED)])
+        assert (check.num_skipped, check.num_evaluated) == (1, 2)
+        assert check.violations == [violated] and check.violations[0] is violated
+        assert not check.passed
+
+    def test_rebinding_results_retakes_the_tally(self):
+        check = CheckResult("drain", results=[self._result(InvariantStatus.PASSED)])
+        assert check.passed
+        check.results = [self._result(InvariantStatus.VIOLATED)]
+        assert not check.passed
+
+    def test_a_handed_over_tally_lives_by_the_same_rule(self):
+        passed, violated = (
+            self._result(InvariantStatus.PASSED),
+            self._result(InvariantStatus.VIOLATED),
+        )
+        check = CheckResult("topology", results=[passed, violated])
+        check.hand_over([violated], num_evaluated=2)
+        assert check.tally == CheckTally((violated,), 2, 2)
+        check.results.append(self._result(InvariantStatus.SKIPPED))
+        assert check.tally == CheckTally.of(check.results) == CheckTally((violated,), 2, 3)
+
+    def test_one_walk_serves_every_reader(self):
+        check = CheckResult("demand", results=[self._result(InvariantStatus.VIOLATED)])
+        assert check.tally is check.tally
+        assert check.violations is not check.violations  # each caller owns its list
+
+    def test_same_length_replacement_in_place_is_not_seen(self):
+        # The rule's documented blind spot, pinned so it stays a choice.
+        check = CheckResult("drain", results=[self._result(InvariantStatus.PASSED)])
+        assert check.passed
+        check.results[0] = self._result(InvariantStatus.VIOLATED)
+        assert check.passed
+        assert not CheckResult("drain", results=list(check.results)).passed
+
+    def test_the_tally_is_not_part_of_equality_or_repr(self):
+        results = [self._result(InvariantStatus.VIOLATED)]
+        walked, fresh = CheckResult("demand", results=results), CheckResult("demand", results=results)
+        assert not walked.passed
+        assert walked == fresh and repr(walked) == repr(fresh)

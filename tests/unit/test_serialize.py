@@ -8,7 +8,9 @@ from repro.control.demand_service import records_from_matrix
 from repro.control.infra import ControlPlane
 from repro.control.metrics import assess_health
 from repro.core import (
+    CheckResult,
     Hodor,
+    check_result_to_dict,
     finding_to_dict,
     hardened_state_to_dict,
     health_report_to_dict,
@@ -81,3 +83,40 @@ class TestRoundTrip:
         json.dumps(payload)
         assert payload["severity"] == "ok"
         assert 0 <= payload["mlu"] <= 1.5
+
+
+class TestOneWalkPerCheck:
+    """Serialising or rendering a check reads its tally; nothing walks
+    the results a second time."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        from repro.core.invariants import CheckTally
+
+        calls = []
+        of = CheckTally.of
+
+        def counted(results):
+            calls.append(len(results))
+            return of(results)
+
+        monkeypatch.setattr(CheckTally, "of", staticmethod(counted))
+        return calls
+
+    @staticmethod
+    def _unwalked(check):
+        return CheckResult(check.input_name, list(check.results), list(check.notes))
+
+    def test_check_result_to_dict(self, failing_report, walks):
+        check = self._unwalked(failing_report.checks["demand"])
+        brief = check_result_to_dict(check)
+        full = check_result_to_dict(check, include_passed=True)
+        assert walks == [len(check.results)]
+        assert brief["passed"] is False and brief["results"] is None
+        assert brief["violations"] == full["violations"] != []
+        assert brief["num_evaluated"] + brief["num_skipped"] == len(full["results"])
+
+    def test_render(self, failing_report, walks):
+        failing_report.checks["demand"] = self._unwalked(failing_report.checks["demand"])
+        assert "FAIL" in failing_report.render()
+        assert walks == [len(failing_report.checks["demand"].results)]
