@@ -25,6 +25,15 @@ decomposition coincide with the global system's), which keeps a solve
 on an epoch with localized corruption proportional to the corrupted
 region rather than the whole WAN -- and makes individual component
 solutions cacheable across epochs (:class:`ConservationSolveCache`).
+
+One solver, two front ends: :meth:`ConservationSystem.solve` folds
+per-epoch values in from dicts (``None`` = unknown) one variable at a
+time -- the python backend's reference path -- and
+:meth:`ConservationSystem.solve_array` folds them in from one flat
+array (NaN = unknown) with a handful of array operations over the
+system's precomputed lowering.  Both hand the same unknown set, the
+same right-hand side bit for bit, and the same scale to one shared
+component solve, so their results are identical.
 """
 
 from __future__ import annotations
@@ -70,6 +79,8 @@ def drop_var(node: str) -> VarKey:
 #: Null-space components smaller than this count as zero (an unknown is
 #: uniquely determined when every null vector is ~zero at its index).
 _NULLSPACE_TOL = 1e-8
+#: Machine epsilon of float64 (the SVD rank cutoff's unit).
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -172,11 +183,22 @@ class ConservationSystem:
             mapping supplies its value (``_FIELD_*``), the lookup key
             into that mapping, and the ``(row, coefficient)`` pairs it
             contributes to.
+        var_col: Per variable (entries order), its column in the flat
+            layout ``[edges | ext_in | ext_out | drops]`` that
+            :meth:`solve_array` reads.
+        pair_rows: Per ``(variable, row)`` pair, in entries order and
+            each variable's own row order: the equation row.
+        pair_coef: Per pair, the coefficient.
+        pair_var: Per pair, the variable (entries index) it belongs to.
     """
 
     nodes: Tuple[str, ...]
     edges: Tuple[Tuple[str, str], ...]
     entries: Tuple[Tuple[VarKey, int, Hashable, Tuple[Tuple[int, float], ...]], ...]
+    var_col: np.ndarray = field(compare=False, repr=False)
+    pair_rows: np.ndarray = field(compare=False, repr=False)
+    pair_coef: np.ndarray = field(compare=False, repr=False)
+    pair_var: np.ndarray = field(compare=False, repr=False)
 
     @classmethod
     def build(
@@ -201,7 +223,22 @@ class ConservationSystem:
             entries.append((ext_in_var(node), _FIELD_EXT_IN, node, ((row, 1.0),)))
             entries.append((ext_out_var(node), _FIELD_EXT_OUT, node, ((row, -1.0),)))
             entries.append((drop_var(node), _FIELD_DROP, node, ((row, -1.0),)))
-        return cls(nodes=tuple(nodes), edges=tuple(tuple(e) for e in edges), entries=tuple(entries))
+
+        # The same (variable, row) pairs, flattened from ``entries`` so
+        # their order is the dict walk's by construction.
+        pairs = [(row, coef, j) for j, e in enumerate(entries) for row, coef in e[3]]
+        pair_rows, pair_coef, pair_var = zip(*pairs) if pairs else ((), (), ())
+        num_edges, num_nodes = len(edges), len(nodes)
+        node_var = np.arange(num_nodes)[:, None] + num_nodes * np.arange(3)
+        return cls(
+            nodes=tuple(nodes),
+            edges=tuple(tuple(e) for e in edges),
+            entries=tuple(entries),
+            var_col=np.concatenate((np.arange(num_edges), num_edges + node_var.ravel())),
+            pair_rows=np.array(pair_rows, dtype=np.intp),
+            pair_coef=np.array(pair_coef, dtype=float),
+            pair_var=np.array(pair_var, dtype=np.intp),
+        )
 
     def solve(
         self,
@@ -213,7 +250,9 @@ class ConservationSystem:
     ) -> RepairResult:
         """Solve for all ``None`` values given this epoch's knowns.
 
-        The system decomposes into independent blocks over the
+        The dict front end, one variable at a time: the python
+        backend's reference path (:meth:`solve_array` is its array
+        twin).  The system decomposes into independent blocks over the
         connected components of the unknown-interaction graph (two
         unknowns interact when they touch a common equation); each
         block is solved on its own submatrix.  Equations touching no
@@ -226,23 +265,67 @@ class ConservationSystem:
         """
         mappings = (edge_values, ext_in, ext_out, drops)
         rhs = np.zeros(len(self.nodes))
-        unknown_entries: List[
-            Tuple[VarKey, int, Hashable, Tuple[Tuple[int, float], ...]]
-        ] = []
-        for entry in self.entries:
-            _key, field_id, lookup, rows = entry
+        unknown: List[int] = []
+        for j, (_key, field_id, lookup, rows) in enumerate(self.entries):
             value = mappings[field_id].get(lookup)
             if value is None:
-                unknown_entries.append(entry)
+                unknown.append(j)
             else:
                 for row, coefficient in rows:
                     rhs[row] -= coefficient * value
 
         scale = max(1.0, _system_scale(edge_values, ext_in, ext_out))
-        if not unknown_entries:
+        return self._finish(unknown, rhs, scale, cache)
+
+    def solve_array(
+        self, values: np.ndarray, cache: Optional[ConservationSolveCache] = None
+    ) -> RepairResult:
+        """Solve for all NaN values of one flat value array.
+
+        The array front end: ``values`` is laid out
+        ``[edges | ext_in | ext_out | drops]`` in :attr:`edges` /
+        :attr:`nodes` order, NaN marking an unknown.  The result is
+        identical, bit for bit and in the same key order, to
+        :meth:`solve` on the same values as dicts with ``None`` for
+        NaN: the unknowns come out in entries order, and ``bincount``
+        accumulates each row's right-hand side in the same order the
+        dict walk does (an unknown adds a signed zero, which changes
+        nothing).
+
+        Args:
+            values: ``E + 3N`` float64 values.
+            cache: As for :meth:`solve`.
+        """
+        by_var = values[self.var_col]
+        missing = np.isnan(by_var)
+        known = np.where(missing, 0.0, by_var)
+        rhs = np.bincount(
+            self.pair_rows,
+            weights=-(self.pair_coef * known[self.pair_var]),
+            minlength=len(self.nodes),
+        )
+        # Scale over the known edge and external values (not drops),
+        # like ``_system_scale``.
+        head = values[: len(self.edges) + 2 * len(self.nodes)]
+        head = head[~np.isnan(head)]
+        scale = max(1.0, float(head.max())) if head.size else 1.0
+        return self._finish(np.flatnonzero(missing).tolist(), rhs, scale, cache)
+
+    def _finish(
+        self,
+        unknown: List[int],
+        rhs: np.ndarray,
+        scale: float,
+        cache: Optional[ConservationSolveCache],
+    ) -> RepairResult:
+        """The solve both front ends share, given the unknowns (entries
+        indices, in entries order), the folded right-hand side, and the
+        residual scale."""
+        if not unknown:
             residual = float(np.linalg.norm(rhs)) / scale
             return RepairResult(values={}, residual=residual, rank=0, num_unknowns=0)
 
+        unknown_entries = [self.entries[j] for j in unknown]
         solved: Dict[VarKey, Optional[float]] = {}
         residual_sq = 0.0
         total_rank = 0
@@ -252,14 +335,15 @@ class ConservationSystem:
                 {row for j in members for row, _coeff in unknown_entries[j][3]}
             )
             touched_rows.update(component_rows)
+            b = rhs[component_rows]
             key = (
                 tuple(unknown_entries[j][0] for j in members),
                 tuple(unknown_entries[j][3] for j in members),
-                tuple(float(rhs[row]) for row in component_rows),
+                tuple(b.tolist()),
             )
             solution = cache.get(key) if cache is not None else None
             if solution is None:
-                solution = _solve_component(unknown_entries, members, component_rows, rhs)
+                solution = _solve_component(unknown_entries, members, component_rows, b)
                 if cache is not None:
                     cache.put(key, solution)
             component_values, component_residual_sq, component_rank = solution
@@ -267,9 +351,9 @@ class ConservationSystem:
             total_rank += component_rank
             solved.update(component_values)
 
-        for row, imbalance in enumerate(rhs):
+        for row, imbalance in enumerate(rhs.tolist()):
             if row not in touched_rows:
-                residual_sq += float(imbalance) ** 2
+                residual_sq += imbalance**2
         residual = float(np.sqrt(residual_sq)) / scale
 
         # Reassemble in global entries order so downstream finding
@@ -323,15 +407,23 @@ def _solve_component(
     unknown_entries: Sequence[Tuple[VarKey, int, Hashable, Tuple[Tuple[int, float], ...]]],
     members: Sequence[int],
     component_rows: Sequence[int],
-    rhs: np.ndarray,
+    b: np.ndarray,
 ) -> _ComponentSolution:
-    """Least-squares + null-space analysis for one component block."""
+    """Least-squares + null-space analysis for one component block
+    (``b``: the right-hand side on ``component_rows``)."""
     row_position = {row: i for i, row in enumerate(component_rows)}
-    matrix = np.zeros((len(component_rows), len(members)))
+    height, width = len(component_rows), len(members)
+    flat: List[int] = []
+    coefs: List[float] = []
     for column, j in enumerate(members):
         for row, coefficient in unknown_entries[j][3]:
-            matrix[row_position[row], column] += coefficient
-    b = rhs[list(component_rows)]
+            flat.append(row_position[row] * width + column)
+            coefs.append(coefficient)
+    # Scattered from index lists: bincount adds each (row, column)
+    # pair's coefficients onto zero in list order, as ``+=`` would.
+    matrix = np.bincount(
+        np.array(flat, dtype=np.intp), weights=coefs, minlength=height * width
+    ).reshape(height, width)
 
     solution, _residuals, _rank, _singular = np.linalg.lstsq(matrix, b, rcond=None)
     fitted = matrix @ solution
@@ -339,17 +431,20 @@ def _solve_component(
 
     # Null-space analysis: which unknowns are uniquely determined?
     _u, singular, vt = np.linalg.svd(matrix)
-    tol = max(matrix.shape) * (singular[0] if singular.size else 0.0) * np.finfo(float).eps
+    tol = max(matrix.shape) * (singular[0] if singular.size else 0.0) * _EPS
     effective_rank = int((singular > tol).sum()) if singular.size else 0
     null_vectors = vt[effective_rank:]
+    if null_vectors.size:
+        underdetermined = (np.abs(null_vectors) > _NULLSPACE_TOL).any(axis=0).tolist()
+    else:
+        underdetermined = [False] * len(members)
 
     values: List[Tuple[VarKey, Optional[float]]] = []
-    for column, j in enumerate(members):
+    for j, value, loose in zip(members, solution.tolist(), underdetermined):
         key = unknown_entries[j][0]
-        if null_vectors.size and np.any(np.abs(null_vectors[:, column]) > _NULLSPACE_TOL):
-            values.append((key, None))  # underdetermined
+        if loose:
+            values.append((key, None))
             continue
-        value = float(solution[column])
         if -1e-6 < value < 0:
             value = 0.0
         values.append((key, value))

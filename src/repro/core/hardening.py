@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import HodorConfig
 from repro.core.drain_reasons import reason_allows_traffic
-from repro.core.flow_repair import ConservationSolveCache
+from repro.core.flow_repair import RepairResult
 from repro.core.link_status import LinkEvidence, combine_link_evidence
 from repro.core.signals import (
     CollectedState,
@@ -263,27 +263,25 @@ class Hardener:
     # ------------------------------------------------------------------
 
     def repair_flows(
-        self,
-        collected: CollectedState,
-        state: HardenedState,
-        solver_cache: Optional["ConservationSolveCache"] = None,
+        self, collected: CollectedState, state: HardenedState
     ) -> Tuple[Tuple[str, ...], ...]:
         """Solve the conservation system and apply repairs in place.
+
+        The python backend's R2: gate on any unknown, gather the flow
+        vector into dicts, solve through the dict front end
+        (:meth:`~repro.core.flow_repair.ConservationSystem.solve`),
+        and hand the result to :meth:`apply_repairs`.  The vector
+        backend gates and gathers on its arrays instead, solves through
+        :meth:`~repro.core.flow_repair.ConservationSystem.solve_array`,
+        and calls the same :meth:`apply_repairs`.
 
         Args:
             collected: Step-1 output (needed for R2 arbitration).
             state: Hardened state with the R1 flow vector already
                 assembled; repaired values are written back into it.
-            solver_cache: Optional
-                :class:`~repro.core.flow_repair.ConservationSolveCache`
-                memoizing per-component solves across epochs (hits are
-                bitwise-identical, so sharing one across epochs never
-                changes output).
 
         Returns:
-            The :data:`~repro.core.flow_repair.VarKey` of every unknown
-            a repaired value was actually written for, in emission
-            order -- the vector backend's dirty-propagation seed.
+            As :meth:`apply_repairs`.
         """
         if not self._config.enable_repair:
             return ()
@@ -301,17 +299,31 @@ class Hardener:
         ext_out = {n: state.ext_out[n].value for n in nodes}
         drops = {n: state.drops[n].value for n in nodes}
 
-        result = self._cache.conservation.solve(
-            edge_values, ext_in, ext_out, drops, cache=solver_cache
-        )
+        result = self._cache.conservation.solve(edge_values, ext_in, ext_out, drops)
+        return self.apply_repairs(collected, state, result)
 
+    def apply_repairs(
+        self, collected: CollectedState, state: HardenedState, result: RepairResult
+    ) -> Tuple[Tuple[str, ...], ...]:
+        """Write one conservation solve's repairs into ``state``.
+
+        The one in-place writer of R2, shared by both backends: an
+        inconsistent solve adds ``R2_INCONSISTENT`` and withholds every
+        repair; otherwise each unknown is applied (or reported
+        underdetermined / negative) in the result's key order.
+
+        Args:
+            collected: Step-1 output (needed for R2 arbitration).
+            state: Hardened state the solve was gathered from.
+            result: The solve's :class:`~repro.core.flow_repair.RepairResult`.
+
+        Returns:
+            The :data:`~repro.core.flow_repair.VarKey` of every unknown
+            a repaired value was actually written for, in emission
+            order -- the vector backend's dirty-propagation seed.
+        """
         if not result.is_consistent(self._config.repair_residual_tol):
-            # In-place repair IS repair_flows()'s documented contract:
-            # it upgrades `state` and reports what it wrote.  The
-            # vector backend accounts for this by re-running repair
-            # whenever any of its inputs is dirty (never reusing a
-            # mutated state across epochs).
-            state.findings.append(  # lint: ignore[P1]
+            state.findings.append(
                 Finding(
                     code="R2_INCONSISTENT",
                     severity=FindingSeverity.CRITICAL,

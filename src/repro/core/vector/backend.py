@@ -14,10 +14,13 @@ compiled :class:`~repro.core.vector.model.VectorModel` arrays:
 - **R1 symmetry** is one paired-column comparison (``tx[edge]`` vs
   ``rx[edge_rev[edge]]``) plus vectorized relative-gap math that
   reproduces the scalar arithmetic bit for bit;
-- **R2 conservation** keeps the serial solver (component solves are
-  cached bitwise in :class:`ConservationSolveCache`); the vector layer
-  contributes the gate (an ``isnan``-any over the flow arrays) and
-  scatter-updates of the post-repair value arrays;
+- **R2 conservation** gates on an ``isnan``-any over the flow arrays,
+  solves the flat ``[edges | ext_in | ext_out | drops]`` array through
+  the conservation system's array front end
+  (``ConservationSystem.solve_array``: the serial component solver
+  behind it, cached bitwise in :class:`ConservationSolveCache`), writes
+  through the hardener's ``apply_repairs``, and scatter-updates the
+  post-repair value arrays;
 - **link status / drains** reduce each entity to a small integer
   category; one hardened object per distinct category is interned and
   findings are memoized per ``(slot, category)``, so steady-state
@@ -40,7 +43,9 @@ is the array twin of: ``collect_counter_entity``,
 dispatch these six through the one ``_scatter``),
 ``harden_edge_entity`` / ``harden_external_entity`` /
 ``harden_node_drain_entity`` / ``harden_link_drain_entity``
-(replicated as array math), ``repair_flows`` (delegated),
+(replicated as array math), ``repair_flows`` (its gate and gather
+replicated as array math; solve and write shared through
+``solve_array`` and ``apply_repairs``),
 ``harden_link_status_entity`` (interned via
 :func:`~repro.core.link_status.combine_codes`; serial on exceptional
 probes), and ``check_node_entity`` / ``check_link_entity`` of the
@@ -1012,7 +1017,7 @@ class VectorValidator:
         for i in np.nonzero(self._ext_has)[0].tolist():
             state.findings.extend(self._ext_fnds[i])
 
-        # -- R2 conservation repair (delegated; vector supplies the gate) ------
+        # -- R2 conservation repair: the array front end of the one solver ----
         EV_pre = np.where(cats == 0, vals, np.nan)
         EI_pre = ex_rx
         EO_pre = ex_tx
@@ -1026,23 +1031,9 @@ class VectorValidator:
         ei_rep = np.zeros(N, dtype=bool)
         eo_rep = np.zeros(N, dtype=bool)
         if config.enable_repair and unknown:
-            if self._tracer.enabled:
-                self._tracer.instant(
-                    "repair_gate",
-                    unknown_vars=int(
-                        np.isnan(
-                            np.concatenate((EV_pre, EI_pre, EO_pre, DR_pre))
-                        ).sum()
-                    ),
-                )
-            view = _CollectedView(self)
-            hits_before = self._solver_cache.hits
-            misses_before = self._solver_cache.misses
-            repaired = self._components.hardener.repair_flows(
-                view, state, solver_cache=self._solver_cache
+            repaired = self._repair(
+                state, np.concatenate((EV_pre, EI_pre, EO_pre, DR_pre))
             )
-            self._stats.repair_reuses += self._solver_cache.hits - hits_before
-            self._stats.repair_solves += self._solver_cache.misses - misses_before
         else:
             repaired = ()
         if repaired:
@@ -1074,6 +1065,34 @@ class VectorValidator:
         self._harden_node_drains(state)
         self._harden_link_drains(state)
         return state
+
+    def _repair(self, state: HardenedState, values: np.ndarray) -> Tuple[Tuple[str, ...], ...]:
+        """R2 on the flat ``[edges | ext_in | ext_out | drops]`` values
+        (NaN = unknown): the conservation system's array front end, then
+        the hardener's ``apply_repairs`` -- the writer the python path
+        uses too -- inside a ``repair`` span nested in ``harden``."""
+        tracer = self._tracer
+        solver = self._solver_cache
+        hits, misses = solver.hits, solver.misses
+        with tracer.span("repair") as span:
+            result = self._cache.conservation.solve_array(values, cache=solver)
+            repaired = self._components.hardener.apply_repairs(
+                _CollectedView(self), state, result
+            )
+            solves = solver.misses - misses
+            reuses = solver.hits - hits
+            if tracer.enabled:
+                tracer.instant("repair_gate", unknown_vars=result.num_unknowns)
+                span.annotate(
+                    unknowns=result.num_unknowns,
+                    components=solves + reuses,
+                    solves=solves,
+                    reuses=reuses,
+                    repaired=len(repaired),
+                )
+        self._stats.repair_solves += solves
+        self._stats.repair_reuses += reuses
+        return repaired
 
     def _edge_missing_findings(self, e: int, cat: int) -> Tuple[Finding, ...]:
         key = (e, cat)

@@ -12,14 +12,13 @@ structures, built once per topology fingerprint and reused every epoch
   reverse interface) become a *paired-column* gather
   (``cnt_tx[edge]`` vs ``cnt_rx[edge_rev[edge]]``) and R1 symmetry is
   one elementwise comparison over all edges at once;
-- **incidence matrices in CSR form**: the prebuilt
-  :class:`~repro.core.flow_repair.ConservationSystem` is lowered to a
-  sparse ``(routers x variables)`` incidence matrix over the canonical
-  variable layout ``[edges | ext_in | ext_out | drops]``; its
-  absolute-value form (and the edge/link restrictions of it) turns the
-  per-router reductions of the serial path -- "does this router carry
-  traffic", "how many usable links touch it" -- into sparse
-  matrix-vector products;
+- **incidence matrices in CSR form**: the absolute router x edge and
+  router x link incidence turn the per-router reductions of the serial
+  path -- "does this router carry traffic", "how many usable links
+  touch it" -- into sparse matrix-vector products.  (R2's conservation
+  system is lowered to flat arrays once per topology on the
+  :class:`~repro.core.flow_repair.ConservationSystem` itself, which both
+  backends share through the topology cache.)
 - **iteration-order indices**: gather arrays mapping the checker's
   sorted orders onto the insertion-order arrays, so assembly can walk
   the exact serial orders without per-entity dict lookups.
@@ -165,15 +164,10 @@ class VectorModel:
         edge_subjects: ``"src->dst"`` per directed edge (finding
             subjects, precomputed once).
         edge_incidence_abs: CSR ``(N, E)``; entry 1 when the edge
-            touches the router (both endpoints).  The edge-column
-            restriction of ``|conservation_abs|``.
+            touches the router (both endpoints).
         link_incidence_abs: CSR ``(N, L)``; entry 1 when the link
             touches the router.
         node_degree: Per router, how many links touch it.
-        conservation_abs: CSR ``(N, E + 3N)`` -- the conservation
-            incidence matrix ``|M|`` over the canonical variable layout
-            ``[edges | ext_in | ext_out | drops]``, lowered from
-            :class:`~repro.core.flow_repair.ConservationSystem`.
         sorted_node_idx: Per sorted router, its insertion-order index.
         sorted_link_idx: Per sorted link name, its cache-order index.
         path_index: Rendered path -> slot, filled as paths are first
@@ -198,7 +192,6 @@ class VectorModel:
     edge_incidence_abs: sparse.csr_matrix
     link_incidence_abs: sparse.csr_matrix
     node_degree: np.ndarray
-    conservation_abs: sparse.csr_matrix
     sorted_node_idx: np.ndarray
     sorted_link_idx: np.ndarray
     path_index: PathIndex
@@ -260,27 +253,6 @@ class VectorModel:
         )
         node_degree = np.asarray(link_incidence_abs.sum(axis=1)).reshape(num_nodes)
 
-        # Lower the prebuilt conservation system to CSR over the
-        # canonical variable layout [edges | ext_in | ext_out | drops].
-        var_index: Dict[Tuple[str, ...], int] = {}
-        for e, (src, dst) in enumerate(edges):
-            var_index[("edge", src, dst)] = e
-        for i, node in enumerate(nodes):
-            var_index[("ext_in", node)] = num_edges + i
-            var_index[("ext_out", node)] = num_edges + num_nodes + i
-            var_index[("drop", node)] = num_edges + 2 * num_nodes + i
-        rows, cols, data = [], [], []
-        for key, _field_id, _lookup, entry_rows in cache.conservation.entries:
-            col = var_index[key]
-            for row, coefficient in entry_rows:
-                rows.append(row)
-                cols.append(col)
-                data.append(abs(coefficient))
-        conservation_abs = sparse.csr_matrix(
-            (data, (rows, cols)),
-            shape=(num_nodes, num_edges + 3 * num_nodes),
-        )
-
         sorted_node_idx = np.array(
             [node_slot[node] for node in cache.sorted_nodes], dtype=np.int64
         ).reshape(num_nodes)
@@ -307,7 +279,6 @@ class VectorModel:
             edge_incidence_abs=edge_incidence_abs,
             link_incidence_abs=link_incidence_abs,
             node_degree=node_degree,
-            conservation_abs=conservation_abs,
             sorted_node_idx=sorted_node_idx,
             sorted_link_idx=sorted_link_idx,
             path_index=PathIndex(counter_slot, edge_index, node_slot),

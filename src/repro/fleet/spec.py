@@ -92,8 +92,9 @@ class FleetConfig:
             request it.
         admission: Quarantine/budget policy
             (:class:`~repro.fleet.admission.AdmissionPolicy`).
-        poll_s: Results-channel poll interval -- how often the
-            supervisor wakes to check worker liveness while idle.
+        poll_s: Longest the idle supervisor blocks before re-checking
+            worker liveness; it wakes sooner, at once, when a message
+            arrives or a worker process exits.
         deterministic_history: Byte-reproducible per-tenant stores
             (virtual-time anchors, zeroed latencies), so a rescheduled
             tenant's rewritten store matches the original bytes.

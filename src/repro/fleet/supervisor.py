@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import queue as queue_mod
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -473,10 +473,24 @@ class FleetSupervisor:
             self._check_readmissions()
             if not self._pump():
                 self._check_liveness()
-                time.sleep(self.config.poll_s)
+                self._wait(self._workers.values())
 
         self._drain()
         return self._finalize()
+
+    def _wait(self, workers) -> None:
+        """Block until a worker has a message waiting or has exited, or
+        ``poll_s`` passes -- whichever comes first.  The caller pumps
+        and checks liveness afterwards, so a wake-up only decides *when*
+        the next pump runs, never what it handles."""
+        ready_on = []
+        for worker in workers:
+            if not worker.done:
+                # The queue's receiving connection: readable once a
+                # message (or its first bytes) has been written.
+                ready_on.append(worker.results._reader)
+                ready_on.append(worker.proc.sentinel)
+        multiprocessing.connection.wait(ready_on, timeout=self.config.poll_s)
 
     def _drain(self) -> None:
         """Deterministic shutdown: every live worker finishes its
@@ -500,7 +514,7 @@ class FleetSupervisor:
                     worker.done = True
                     awaiting.discard(worker_id)
             if not handled and awaiting:
-                time.sleep(self.config.poll_s)
+                self._wait(self._workers[worker_id] for worker_id in sorted(awaiting))
         for worker in self._workers.values():
             worker.proc.join(timeout=10.0)
 

@@ -14,9 +14,11 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.obs import load_trace_file
+from repro.engine import ValidationEngine
+from repro.obs import Tracer, load_trace_file
 from repro.scenarios.catalog import all_scenarios
 
+from tests.engine.conftest import random_epoch
 from tests.obs.test_metrics import parse_exposition
 
 EPOCHS = 2
@@ -201,3 +203,30 @@ class TestPrometheusRoundTrip:
         for stage in ("collect", "harden", "check"):
             key = ("engine_stage_latency_seconds_count", (("stage", stage),))
             assert samples[key] == epochs
+
+
+class TestVectorRepairSpan:
+    """R2 on the vector backend gets a ``repair`` span nested in
+    ``harden`` -- a span, not an ``EngineStats`` stage."""
+
+    def test_repair_span_nests_in_harden_with_counts(self):
+        topology, snapshot, inputs = random_epoch(12, 3, corrupted=True)
+        tracer = Tracer()
+        engine = ValidationEngine(topology, backend="vector", tracer=tracer)
+        engine.validate(snapshot, inputs)
+        events = tracer.events()
+        spans = {e["id"]: e for e in events if e["type"] == "span"}
+        (repair,) = [e for e in spans.values() if e["name"] == "repair"]
+        assert spans[repair["parent"]]["name"] == "harden"
+        args = repair["args"]
+        assert args["unknowns"] >= 1
+        assert args["components"] == args["solves"] + args["reuses"] >= 1
+        assert (args["solves"], args["reuses"]) == (
+            engine.stats.repair_solves,
+            engine.stats.repair_reuses,
+        )
+        assert args["repaired"] <= args["unknowns"]
+        (gate,) = [e for e in events if e["type"] == "instant" and e["name"] == "repair_gate"]
+        assert gate["parent"] == repair["id"]
+        assert gate["args"]["unknown_vars"] == args["unknowns"]
+        assert set(engine.stats.stage_seconds) == {"collect", "harden", "check", "total"}

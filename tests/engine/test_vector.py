@@ -20,9 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.collection import SignalCollector
 from repro.core.drain_check import DrainChecker
+from repro.core.flow_repair import ConservationSolveCache
+from repro.core.hardening import Hardener
 from repro.core.pipeline import Hodor
 from repro.engine import ValidationEngine, compare_reports
+from repro.engine.cache import TopologyCache
 from repro.experiments import churn_snapshot
 from repro.fuzz.generate import CaseGenerator
 from repro.scenarios.catalog import all_scenarios
@@ -47,6 +51,45 @@ def _scenario_ids():
     return [s.scenario_id for s in all_scenarios()]
 
 
+#: ``(repair_solves, repair_reuses)`` the vector engine recorded over
+#: three seed-7 epochs while it still solved through the dict front
+#: end; every other scenario records ``(0, 0)``.
+RECORDED_REPAIR_COUNTS = {
+    "S01": (3, 6),
+    "S02": (1, 2),
+    "S03": (1, 2),
+    "S17": (2, 4),
+    "S20": (1, 2),
+    "S22": (1, 2),
+    "S24": (1, 2),
+}
+
+
+def dict_front_end_counts(world, snapshots):
+    """``(solves, reuses)`` of the python path's dict front end driven
+    with one shared solve cache over ``snapshots`` -- what the vector
+    engine's counters must equal."""
+    config = world.hodor_config
+    cache = TopologyCache.from_topology(world.topology)
+    collector = SignalCollector(config)
+    hardener = Hardener(world.topology, config, cache=cache)
+    solver_cache = ConservationSolveCache()
+    for snapshot in snapshots:
+        collected = collector.collect(snapshot)
+        flows, _ = hardener.harden_flow_slice(collected, cache.directed_edges)
+        ext_in, ext_out, drops, _ = hardener.harden_external_slice(collected, cache.nodes)
+        if not config.enable_repair:
+            continue
+        cache.conservation.solve(
+            {e: flows[e].value for e in cache.directed_edges},
+            {n: ext_in[n].value for n in cache.nodes},
+            {n: ext_out[n].value for n in cache.nodes},
+            {n: drops[n].value for n in cache.nodes},
+            cache=solver_cache,
+        )
+    return solver_cache.misses, solver_cache.hits
+
+
 class TestCatalogParity:
     """Every catalog scenario, serial reference vs vector engine."""
 
@@ -56,12 +99,14 @@ class TestCatalogParity:
             s for s in all_scenarios() if s.scenario_id == scenario_id
         )
         world = scenario.build(seed=7)
+        snapshots = []
         with ValidationEngine(
             world.topology, config=world.hodor_config, backend="vector"
         ) as engine:
             for epoch in range(3):
                 outcome = world.run_epoch(timestamp=float(epoch))
                 report = engine.validate(outcome.snapshot, outcome.inputs)
+                snapshots.append(outcome.snapshot)
                 assert_reports_identical(
                     outcome.report,
                     report,
@@ -69,6 +114,11 @@ class TestCatalogParity:
                 )
             assert engine.stats.backend == "vector"
             assert engine.stats.epochs == 3
+        # One solver behind both front ends: the array front end solves
+        # and reuses exactly the components the dict front end does.
+        counts = (engine.stats.repair_solves, engine.stats.repair_reuses)
+        assert counts == dict_front_end_counts(world, snapshots)
+        assert counts == RECORDED_REPAIR_COUNTS.get(scenario_id, (0, 0))
 
 
 class TestRandomWorlds:

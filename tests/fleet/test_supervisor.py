@@ -7,6 +7,7 @@ but every failure path exercised here is the one E19 leans on at
 """
 
 import os
+import time
 
 import pytest
 
@@ -57,6 +58,33 @@ class TestCrashRecovery:
         assert result.statuses() == {"done": 2}
         for summary in result.tenants.values():
             assert len(summary.digests) == 15
+
+
+class TestWakesOnReadiness:
+    """The idle supervisor blocks on its workers' results channels and
+    process sentinels, with ``poll_s`` only as the timeout: a fleet whose
+    poll is far longer than its run still finishes promptly, through a
+    crash too (the dead worker's sentinel wakes it)."""
+
+    POLL_S = 30.0
+
+    def _run_timed(self, specs, **config):
+        start = time.perf_counter()
+        result = FleetSupervisor(specs, FleetConfig(poll_s=self.POLL_S, **config)).run()
+        return result, time.perf_counter() - start
+
+    def test_fleet_finishes_far_inside_one_poll(self):
+        specs = synthetic_fleet(2, nodes=8, epochs=3, seed=5)
+        result, elapsed = self._run_timed(specs, workers=2)
+        assert result.statuses() == {"done": 2}
+        assert elapsed < self.POLL_S / 2
+
+    def test_crash_is_noticed_far_inside_one_poll(self):
+        specs = synthetic_fleet(2, nodes=8, epochs=4, seed=5)
+        result, elapsed = self._run_timed(specs, workers=1, chaos_crash=(0, 2))
+        assert result.crashes == 1
+        assert result.statuses() == {"done": 2}
+        assert elapsed < self.POLL_S / 2
 
 
 class TestQuarantine:

@@ -5,6 +5,8 @@ holds exactly on ground truth, drops are non-negative, delivery never
 exceeds demand.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,7 +54,9 @@ class TestConservation:
     def test_delivery_bounded_by_demand(self, size, seed, total):
         _topo, demand, truth = simulate(size, seed, total)
         for (src, dst), delivered in truth.delivered.items():
-            assert delivered <= demand[src, dst] * (1 + 1e-9)
+            # Subnormal rates carry no relative precision, so below the
+            # normal range the 1e-9 bound is taken at the smallest normal.
+            assert delivered <= demand[src, dst] * (1 + 1e-9) + 1e-9 * sys.float_info.min
 
     @given(size=sizes, seed=seeds, total=totals)
     @settings(max_examples=40, deadline=None)

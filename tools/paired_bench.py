@@ -9,8 +9,11 @@ the parent checkout and in the change checkout (default: this one),
 pair, and prints for every end-to-end metric of ``BENCHMARK.json`` each
 side's median and quartiles and the change's wins and ties over the
 pairs, after one line per run with its ``failed`` count and ``inputs
-sha256``.  It times nothing itself: every number is parsed from the
-harness's own output (the result line is its last line of stdout).
+sha256``.  ``--json FILE`` also writes all of it -- per-metric quartiles,
+median shift, wins and ties, and every run in the order it ran -- so a
+results table can be generated rather than copied.  It times nothing
+itself: every number is parsed from the harness's own output (the
+result line is its last line of stdout).
 
 The exit code is 0 when every run reported ``failed`` 0 and both sides
 hashed the same inputs; whether a gain may be claimed from the table is
@@ -85,25 +88,47 @@ def quartiles(values: List[float]):
     return q1, q2, q3
 
 
-def summarise(runs: Dict[str, List[Run]], end_to_end: List[dict]) -> str:
-    rows = [
-        f"{'metric':<16}{'side':<8}{'q1':>14}{'median':>14}{'q3':>14}   change vs parent"
-    ]
+def compare(runs: Dict[str, List[Run]], end_to_end: List[dict]) -> List[dict]:
+    """Per end-to-end metric: each side's quartiles, and the change's
+    median shift, wins and ties over the pairs."""
+    rows = []
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
         parent = [run.metrics[name] for run in runs["parent"]]
         change = [run.metrics[name] for run in runs["change"]]
-        ties = sum(c == p for p, c in zip(parent, change))
-        wins = sum(c != p and (c > p) == higher for p, c in zip(parent, change))
         parent_q, change_q = quartiles(parent), quartiles(change)
-        shift = (change_q[1] - parent_q[1]) / parent_q[1] if parent_q[1] else 0.0
-        rows.append(f"{name:<16}{'parent':<8}" + "".join(f"{q:>14.4f}" for q in parent_q))
         rows.append(
-            f"{'':<16}{'change':<8}"
-            + "".join(f"{q:>14.4f}" for q in change_q)
-            + f"   {shift:+.1%} median, wins {wins}/{len(change)}, ties {ties}"
+            {
+                "metric": name,
+                "better": metric["better"],
+                "parent": dict(zip(("q1", "median", "q3"), parent_q)),
+                "change": dict(zip(("q1", "median", "q3"), change_q)),
+                "median_shift": (
+                    (change_q[1] - parent_q[1]) / parent_q[1] if parent_q[1] else 0.0
+                ),
+                "wins": sum(c != p and (c > p) == higher for p, c in zip(parent, change)),
+                "ties": sum(c == p for p, c in zip(parent, change)),
+                "pairs": len(change),
+            }
         )
-    return "\n".join(rows)
+    return rows
+
+
+def summarise(rows: List[dict]) -> str:
+    lines = [
+        f"{'metric':<16}{'side':<8}{'q1':>14}{'median':>14}{'q3':>14}   change vs parent"
+    ]
+    for row in rows:
+        for side in SIDES:
+            cells = "".join(f"{row[side][q]:>14.4f}" for q in ("q1", "median", "q3"))
+            if side == "parent":
+                lines.append(f"{row['metric']:<16}{side:<8}{cells}")
+            else:
+                lines.append(
+                    f"{'':<16}{side:<8}{cells}   {row['median_shift']:+.1%} median, "
+                    f"wins {row['wins']}/{row['pairs']}, ties {row['ties']}"
+                )
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -115,6 +140,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument(
+        "--json", type=Path, metavar="FILE",
+        help="also write the comparison and every run to FILE as JSON",
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -124,10 +153,12 @@ def main(argv=None) -> int:
         end_to_end = json.load(handle)["end_to_end"]
 
     runs: Dict[str, List[Run]] = {side: [] for side in SIDES}
+    order: List[dict] = []
     for pair in range(args.pairs):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
             run = bench_once(trees[side], args.workload, args.seed, args.seconds)
             runs[side].append(run)
+            order.append({"pair": pair + 1, "side": side, **run._asdict()})
             shown = "  ".join(
                 f"{m['name']} {run.metrics[m['name']]:.4f}" for m in end_to_end
             )
@@ -142,13 +173,29 @@ def main(argv=None) -> int:
         f"{args.workload}  seed {args.seed}  {args.pairs} pairs  "
         f"{args.seconds:g} s  untraced"
     )
-    print(summarise(runs, end_to_end))
+    rows = compare(runs, end_to_end)
+    print(summarise(rows))
 
     every = runs["parent"] + runs["change"]
     failed = sum(run.failed for run in every)
     inputs = {run.inputs for run in every}
     print(f"failed {failed} over {len(every)} runs; inputs sha256 {' / '.join(sorted(inputs))}")
-    return 0 if failed == 0 and len(inputs) == 1 else 1
+    ok = failed == 0 and len(inputs) == 1
+    if args.json is not None:
+        payload = {
+            "workload": args.workload,
+            "seed": args.seed,
+            "pairs": args.pairs,
+            "seconds": args.seconds,
+            "trees": {side: str(tree) for side, tree in trees.items()},
+            "metrics": rows,
+            "runs": order,
+            "failed": failed,
+            "inputs_sha256": sorted(inputs),
+            "ok": ok,
+        }
+        args.json.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
