@@ -105,49 +105,34 @@ def test_stream_soak(benchmark, write_result, results_dir):
     benchmark.extra_info["feed_dropped_at_80"] = at_80.feed_dropped
 
 
-def test_stream_soak_scatter_vector(benchmark, write_result, results_dir):
-    """Satellite to E15: the scatter hot loop under the vector backend.
+def test_stream_soak_python_vs_vector(benchmark, write_result, results_dir):
+    """Satellite to E15: the same soak on both engine backends.
 
-    The fleet hot path seals epochs as sorted event buffers and folds
-    them through the cached decoder (``validate_events``) instead of
-    reassembling a snapshot per epoch; the engine side runs the
-    array-compiled backend.  Reported against the classic
-    applied-snapshot python-backend soak on the identical shape so the
-    p50 moves are attributable.
+    Every sealed epoch is a sorted event buffer; the vector backend
+    packs it straight into its slot arrays, the python backend folds it
+    through the cached decoder and runs the per-entity reference units.
+    The identical shape on both, so the p50 moves are attributable to
+    the engine alone.
     """
     from repro.stream.feed import Perturbations
     from repro.stream.soak import SoakConfig, run_soak
 
-    nodes = SIZES[-1]
     perturb = Perturbations(reorder=REORDER, drop=DROP, duplicate=DUPLICATE)
-    scatter_vector = SoakConfig(
-        nodes=nodes,
-        epochs=EPOCHS,
-        perturb=perturb,
-        scatter=True,
-        backend="vector",
+    shape = dict(nodes=SIZES[-1], epochs=EPOCHS, perturb=perturb)
+    vector = benchmark.pedantic(
+        lambda: run_soak(SoakConfig(backend="vector", **shape)), rounds=1, iterations=1
     )
-    classic_python = SoakConfig(
-        nodes=nodes,
-        epochs=EPOCHS,
-        perturb=perturb,
-    )
-    fast = benchmark.pedantic(
-        lambda: run_soak(scatter_vector), rounds=1, iterations=1
-    )
-    classic = run_soak(classic_python)
+    python = run_soak(SoakConfig(backend="python", **shape))
 
-    for result, label in ((fast, "scatter+vector"), (classic, "classic+python")):
+    for result, backend in ((python, "python"), (vector, "vector")):
         assert result.epochs_sealed == EPOCHS, (
-            f"{label}: only {result.epochs_sealed}/{EPOCHS} epochs sealed"
+            f"{backend}: only {result.epochs_sealed}/{EPOCHS} epochs sealed"
         )
 
     table = format_table(
-        ["pipeline", "backend", "epochs", "updates", "updates/s",
-         "p50 (ms)", "p95 (ms)", "p99 (ms)"],
+        ["backend", "epochs", "updates", "updates/s", "p50 (ms)", "p95 (ms)", "p99 (ms)"],
         [
             [
-                label,
                 backend,
                 f"{result.epochs_sealed}/{EPOCHS}",
                 result.updates,
@@ -156,13 +141,10 @@ def test_stream_soak_scatter_vector(benchmark, write_result, results_dir):
                 f"{result.p95_ms:.1f}",
                 f"{result.p99_ms:.1f}",
             ]
-            for result, label, backend in (
-                (classic, "classic (applied snapshots)", "python"),
-                (fast, "scatter (event fold)", "vector"),
-            )
+            for result, backend in ((python, "python"), (vector, "vector"))
         ],
     )
-    write_result("E15_scatter_vector", table)
+    write_result("E15_backends", table)
 
-    benchmark.extra_info["scatter_vector_p50_ms"] = fast.p50_ms
-    benchmark.extra_info["classic_python_p50_ms"] = classic.p50_ms
+    benchmark.extra_info["vector_p50_ms"] = vector.p50_ms
+    benchmark.extra_info["python_p50_ms"] = python.p50_ms

@@ -201,22 +201,22 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         matches = True
         if tracer is not None:
             tracer.instant("scenario", scenario=scenario.scenario_id)
-        with ValidationEngine(
+        engine = ValidationEngine(
             world.topology,
             config=world.hodor_config,
             backend=args.backend,
             tracer=tracer,
             metrics=registry,
             history=history,
-        ) as engine:
-            for epoch in range(args.epochs):
-                outcome = world.run_epoch(timestamp=float(epoch))
-                report = engine.validate(outcome.snapshot, outcome.inputs)
-                if report.detected_anything():
-                    flagged += 1
-                if compare_reports(outcome.report, report):
-                    matches = False
-            totals.merge(engine.stats)
+        )
+        for epoch in range(args.epochs):
+            outcome = world.run_epoch(timestamp=float(epoch))
+            report = engine.validate(outcome.snapshot, outcome.inputs)
+            if report.detected_anything():
+                flagged += 1
+            if compare_reports(outcome.report, report):
+                matches = False
+        totals.merge(engine.stats)
         if not matches:
             mismatched += 1
         rows.append(
@@ -396,26 +396,26 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         assembler = EpochAssembler(
             routers=list(feeds), lateness_s=args.lateness, metrics=registry
         )
-        with ValidationEngine(
+        engine = ValidationEngine(
             world.topology,
             config=world.hodor_config,
             backend=args.backend,
             metrics=registry,
-        ) as engine:
-            pipeline = StreamPipeline(
-                list(feeds.values()),
-                assembler,
-                engine,
-                inputs_for=inputs_by_ts,
-                config=IngestConfig(
-                    queue_size=args.queue_size,
-                    backpressure=args.backpressure,
-                    deterministic=not args.concurrent,
-                ),
-                metrics=registry,
-                history=history,
-            )
-            result = pipeline.run()
+        )
+        pipeline = StreamPipeline(
+            list(feeds.values()),
+            assembler,
+            engine,
+            inputs_for=inputs_by_ts,
+            config=IngestConfig(
+                queue_size=args.queue_size,
+                backpressure=args.backpressure,
+                deterministic=not args.concurrent,
+            ),
+            metrics=registry,
+            history=history,
+        )
+        result = pipeline.run()
         matches = True
         if check_identity:
             if len(result.reports) != len(batch_reports):

@@ -16,6 +16,12 @@ It keeps three things alive across validation passes:
 3. :class:`~repro.engine.stats.EngineStats` counters: epochs, cache
    hits/misses, per-stage wall time, entity reuse.
 
+An epoch enters through :meth:`ValidationEngine.validate` (a snapshot:
+batch replay) or :meth:`ValidationEngine.validate_events` (the sorted
+event buffer a stream assembler seals).  The engine holds no OS
+resources, so there is nothing to close: it goes with its last
+reference, and an attached history sink is closed by whoever opened it.
+
 Example:
     >>> from repro.engine import ValidationEngine
     >>> engine = ValidationEngine(topology, backend="vector")
@@ -250,19 +256,20 @@ class ValidationEngine:
     ) -> ValidationReport:
         """Validate one sealed epoch directly from its update events.
 
-        The scatter entry point: sealed epochs from an assembler running
-        with ``build_snapshots=False`` arrive as sorted event buffers.
-        The vector backend scatters them straight into its slot arrays
-        (no snapshot is built; its collect stage is the pack from
-        events).  The python backend folds them through a persistent
-        :class:`~repro.stream.fold.EventFolder` -- the reference codec,
-        one regex decode per *distinct* path for the engine's lifetime
-        -- and validates the folded snapshot with :meth:`validate`.
+        The stream's entry point: every epoch the
+        :class:`~repro.stream.assembler.EpochAssembler` seals arrives as
+        a sorted event buffer.  The vector backend scatters it straight
+        into its slot arrays (no snapshot is built; its collect stage is
+        the pack from events).  The python backend folds it through a
+        persistent :class:`~repro.stream.fold.EventFolder` -- the
+        reference codec, one regex decode per *distinct* path for the
+        engine's lifetime -- and validates the folded snapshot with
+        :meth:`validate`.
 
         Either way the report -- findings, verdicts, and provenance --
-        is byte-identical to :meth:`validate` on a snapshot applied the
-        classic way; the scatter differential in ``tests/stream``
-        enforces this on both backends.
+        is byte-identical to :meth:`validate` on the snapshot the events
+        describe; the stream differential in ``tests/stream`` enforces
+        this on both backends.
 
         Args:
             events: Deduped deliveries in sorted ``(router, uid)`` seal
@@ -373,13 +380,3 @@ class ValidationEngine:
             self.validate(epoch.snapshot, epoch.inputs, topology=epoch.topology)
             for epoch in epochs
         ]
-
-    def close(self) -> None:
-        """Nothing to release today; kept so callers can scope an engine
-        with ``with`` (the caches stay valid after it)."""
-
-    def __enter__(self) -> "ValidationEngine":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()

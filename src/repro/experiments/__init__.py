@@ -21,7 +21,6 @@ from repro.experiments.scale_study import (
     ScaleStudy,
     TraceOverheadRow,
     VectorRow,
-    churn_snapshot,
 )
 from repro.experiments.threshold_study import DetectabilityRow, ThresholdRow, ThresholdStudy
 from repro.experiments.topology_study import FAULT_MODES, TopologyRow, TopologyStudy
@@ -47,7 +46,6 @@ __all__ = [
     "ScaleStudy",
     "TraceOverheadRow",
     "VectorRow",
-    "churn_snapshot",
     "ScenarioOutcome",
     "ThresholdRow",
     "ThresholdStudy",

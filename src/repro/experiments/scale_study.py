@@ -20,13 +20,12 @@ from repro.control.demand_service import records_from_matrix
 from repro.control.infra import ControlPlane
 from repro.core.pipeline import Hodor
 from repro.engine import ValidationEngine, engine_registry
+from repro.fleet.scenario import churn_snapshot
 from repro.net.demand import DemandMatrix, gravity_demand
 from repro.net.simulation import NetworkSimulator
-from repro.net.topology import EXTERNAL_PEER
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.counters import Jitter
 from repro.telemetry.probes import ProbeEngine
-from repro.telemetry.snapshot import NetworkSnapshot
 from repro.topologies.synthetic import waxman_topology
 
 __all__ = [
@@ -35,52 +34,7 @@ __all__ = [
     "TraceOverheadRow",
     "VectorRow",
     "ScaleStudy",
-    "churn_snapshot",
 ]
-
-
-def churn_snapshot(
-    snapshot: NetworkSnapshot,
-    fraction: float,
-    rng: random.Random,
-    timestamp: float,
-) -> NetworkSnapshot:
-    """The next epoch's snapshot with ``fraction`` of links re-measured.
-
-    Models the production steady state between two 30-second
-    collections: most counters tick along at the same rate while a
-    random subset of links sees its traffic level move.  Each churned
-    link scales *all four* of its directed counters (rx and tx, both
-    orientations) by one common factor, so R1 symmetry is preserved
-    and churn never fabricates corruption.  Churned readings get the
-    new collection timestamp; everything else is byte-identical to the
-    previous epoch.
-
-    Args:
-        snapshot: The previous epoch's snapshot (not mutated).
-        fraction: Probability each internal link is churned.
-        rng: Random source (pass a seeded instance for reproducibility).
-        timestamp: The new epoch's collection timestamp.
-    """
-    churned = snapshot.copy()
-    churned.timestamp = timestamp
-    by_link = {}
-    for key in churned.counters:
-        node, peer = key
-        if peer != EXTERNAL_PEER:
-            by_link.setdefault(frozenset((node, peer)), []).append(key)
-    for edges in by_link.values():
-        if rng.random() >= fraction:
-            continue
-        factor = 0.9 + 0.2 * rng.random()
-        for edge in edges:
-            reading = churned.counters[edge]
-            if isinstance(reading.rx_rate, float):
-                reading.rx_rate *= factor
-            if isinstance(reading.tx_rate, float):
-                reading.tx_rate *= factor
-            reading.timestamp = timestamp
-    return churned
 
 
 @dataclass(frozen=True)
@@ -323,14 +277,14 @@ class ScaleStudy:
             engine_ms = float("inf")
             cache_hits = 0
             for _ in range(self._repetitions):
-                with ValidationEngine(topology) as engine:
-                    start = time.perf_counter()
-                    for _ in range(epochs):
-                        engine.validate(snapshot, inputs)
-                    engine_ms = min(
-                        engine_ms, (time.perf_counter() - start) * 1000 / epochs
-                    )
-                    cache_hits = engine.stats.cache_hits
+                engine = ValidationEngine(topology)
+                start = time.perf_counter()
+                for _ in range(epochs):
+                    engine.validate(snapshot, inputs)
+                engine_ms = min(
+                    engine_ms, (time.perf_counter() - start) * 1000 / epochs
+                )
+                cache_hits = engine.stats.cache_hits
 
             rows.append(
                 EngineScaleRow(
@@ -386,17 +340,17 @@ class ScaleStudy:
                 )
 
             def replay(tracer=None, metrics=None) -> float:
-                with ValidationEngine(
+                engine = ValidationEngine(
                     topology, tracer=tracer, metrics=metrics
-                ) as engine:
-                    engine.validate(snapshots[0], inputs)  # warm-up
-                    start = time.perf_counter()
-                    for snap in snapshots[1:]:
-                        engine.validate(snap, inputs)
-                    elapsed = (time.perf_counter() - start) * 1000 / epochs
-                    if metrics is not None:
-                        engine_registry(engine.stats, registry=metrics)
-                    return elapsed
+                )
+                engine.validate(snapshots[0], inputs)  # warm-up
+                start = time.perf_counter()
+                for snap in snapshots[1:]:
+                    engine.validate(snap, inputs)
+                elapsed = (time.perf_counter() - start) * 1000 / epochs
+                if metrics is not None:
+                    engine_registry(engine.stats, registry=metrics)
+                return elapsed
 
             off_runs = [replay() for _ in range(self._repetitions)]
             off_ms = min(off_runs)
@@ -543,32 +497,32 @@ class ScaleStudy:
 
             python_ms = float("inf")
             for _ in range(self._repetitions):
-                with ValidationEngine(topology) as engine:
-                    engine.validate(snapshots[0], inputs)  # warm-up
-                    start = time.perf_counter()
-                    for snap in snapshots[1 : ref_epochs + 1]:
-                        engine.validate(snap, inputs)
-                    python_ms = min(
-                        python_ms,
-                        (time.perf_counter() - start) * 1000 / ref_epochs,
-                    )
+                engine = ValidationEngine(topology)
+                engine.validate(snapshots[0], inputs)  # warm-up
+                start = time.perf_counter()
+                for snap in snapshots[1 : ref_epochs + 1]:
+                    engine.validate(snap, inputs)
+                python_ms = min(
+                    python_ms,
+                    (time.perf_counter() - start) * 1000 / ref_epochs,
+                )
 
             vector_ms = float("inf")
             best_latencies: List[float] = []
             reuse_rate = 0.0
             for _ in range(self._repetitions):
-                with ValidationEngine(topology, backend="vector") as engine:
-                    engine.validate(snapshots[0], inputs)  # warm-up + compile
-                    latencies = []
-                    for snap in snapshots[1:]:
-                        start = time.perf_counter()
-                        engine.validate(snap, inputs)
-                        latencies.append((time.perf_counter() - start) * 1000)
-                    mean = sum(latencies) / epochs
-                    if mean < vector_ms:
-                        vector_ms = mean
-                        best_latencies = sorted(latencies)
-                        reuse_rate = engine.stats.reuse_rate()
+                engine = ValidationEngine(topology, backend="vector")
+                engine.validate(snapshots[0], inputs)  # warm-up + compile
+                latencies = []
+                for snap in snapshots[1:]:
+                    start = time.perf_counter()
+                    engine.validate(snap, inputs)
+                    latencies.append((time.perf_counter() - start) * 1000)
+                mean = sum(latencies) / epochs
+                if mean < vector_ms:
+                    vector_ms = mean
+                    best_latencies = sorted(latencies)
+                    reuse_rate = engine.stats.reuse_rate()
             p99_index = max(1, -(-99 * len(best_latencies) // 100)) - 1
             rows.append(
                 VectorRow(

@@ -10,9 +10,9 @@ control quarantining tenants whose feeds misbehave before they can
 starve healthy ones.
 
 Each worker hosts N tenants' :class:`~repro.stream.ingest.StreamPipeline`
-runs end to end (the scatter seal path by default), streams per-epoch
-verdict digests back over a results channel, and rolls its tenants'
-``MetricsRegistry`` expositions up into one fleet-level registry.
+runs end to end, streams per-epoch verdict digests back over a results
+channel, and rolls its tenants' ``MetricsRegistry`` expositions up into
+one fleet-level registry.
 Per-tenant :class:`~repro.history.store.HistoryStore` files live under
 a store-per-tenant layout with a cross-tenant rollup query path
 (``repro history trends --fleet``).

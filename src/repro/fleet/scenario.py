@@ -4,30 +4,42 @@ Workers never receive topologies or feeds over the wire: a
 :class:`~repro.fleet.spec.TenantSpec` is a seed-complete recipe, and
 :func:`build_workload` rebuilds the identical workload -- topology,
 demand, churned epoch timeline, controller inputs -- wherever it runs.
+A synthetic tenant's workload is :func:`synthetic_workload`, the one
+recipe the soak driver (:func:`repro.stream.soak.run_soak`) shares.
 :func:`run_tenant` then drives that workload through the real
-streaming stack (:class:`~repro.stream.ingest.StreamPipeline`, scatter
-seal path by default) exactly as a standalone deployment would.
+streaming stack (:class:`~repro.stream.ingest.StreamPipeline`) exactly
+as a standalone deployment would.
 
 That sharing is the differential's backbone: the in-fleet worker and
 the standalone comparator call the *same* function, so any divergence
 between fleet and standalone digests is a supervisor/worker bug by
 construction, not a fixture mismatch.
 
-Heavy dependencies import lazily inside :func:`build_workload` so
+Heavy dependencies import lazily inside :func:`synthetic_workload` so
 ``import repro.fleet`` stays cheap (the CLI lists subcommands without
 paying for the simulator).
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.fleet.digest import EpochDigest, digest_report
 from repro.fleet.spec import TenantSpec
+from repro.net.topology import EXTERNAL_PEER
 from repro.obs.metrics import MetricsRegistry
+from repro.telemetry.snapshot import NetworkSnapshot
 
-__all__ = ["TenantRun", "TenantWorkload", "build_workload", "run_tenant"]
+__all__ = [
+    "TenantRun",
+    "TenantWorkload",
+    "build_workload",
+    "churn_snapshot",
+    "run_tenant",
+    "synthetic_workload",
+]
 
 
 @dataclass
@@ -87,6 +99,93 @@ class TenantRun:
         }
 
 
+def churn_snapshot(
+    snapshot: NetworkSnapshot,
+    fraction: float,
+    rng: random.Random,
+    timestamp: float,
+) -> NetworkSnapshot:
+    """The next collection: ``fraction`` of links re-measured, all re-stamped.
+
+    Models the production steady state between two collections: most
+    counters tick along at the same rate while a random subset of links
+    sees its traffic level move.  Each churned link scales *all four* of
+    its directed counters (rx and tx, both orientations) by one common
+    factor, so R1 symmetry is preserved and churn never fabricates
+    corruption.  Every reading is stamped with the new collection
+    instant (sample-mode telemetry), so no epoch ever carries a reading
+    the staleness bound would discard.
+
+    Args:
+        snapshot: The previous epoch's snapshot (not mutated).
+        fraction: Probability each internal link is churned.
+        rng: Random source (pass a seeded instance for reproducibility).
+        timestamp: The new epoch's collection timestamp.
+    """
+    churned = snapshot.copy()
+    churned.timestamp = timestamp
+    by_link = {}
+    for (node, peer), reading in churned.counters.items():
+        reading.timestamp = timestamp
+        if peer != EXTERNAL_PEER:
+            by_link.setdefault(frozenset((node, peer)), []).append(reading)
+    for readings in by_link.values():
+        if rng.random() >= fraction:
+            continue
+        factor = 0.9 + 0.2 * rng.random()
+        for reading in readings:
+            if isinstance(reading.rx_rate, float):
+                reading.rx_rate *= factor
+            if isinstance(reading.tx_rate, float):
+                reading.tx_rate *= factor
+    return churned
+
+
+def synthetic_workload(
+    nodes: int, epochs: int, seed: int, churn: float, epoch_spacing_s: float
+) -> TenantWorkload:
+    """The synthetic WAN every soak and synthetic tenant runs on.
+
+    A Waxman topology with gravity demand, simulated and collected once;
+    the control plane's inputs computed from that collection; then one
+    :func:`churn_snapshot` per further epoch, ``epoch_spacing_s`` apart.
+    """
+    from repro.control.demand_service import records_from_matrix
+    from repro.control.infra import ControlPlane
+    from repro.net.demand import gravity_demand
+    from repro.net.simulation import NetworkSimulator
+    from repro.telemetry.collector import TelemetryCollector
+    from repro.telemetry.counters import Jitter
+    from repro.telemetry.probes import ProbeEngine
+    from repro.topologies.synthetic import waxman_topology
+
+    topology = waxman_topology(nodes, seed=seed)
+    demand = gravity_demand(topology.node_names(), total=4.0 * nodes, seed=seed)
+    truth = NetworkSimulator(topology, demand, strategy="single").run()
+    collector = TelemetryCollector(
+        Jitter(0.005, seed=seed), probe_engine=ProbeEngine(seed=seed)
+    )
+    base = collector.collect(truth)
+    inputs = ControlPlane(topology).compute_inputs(
+        base, records_from_matrix(demand, seed=seed)
+    )
+
+    rng = random.Random(seed)
+    snapshot = base.copy()
+    snapshot.timestamp = 0.0
+    timeline: List[Tuple[float, object]] = [(0.0, snapshot)]
+    for index in range(1, epochs):
+        timestamp = index * epoch_spacing_s
+        snapshot = churn_snapshot(snapshot, churn, rng, timestamp)
+        timeline.append((timestamp, snapshot))
+    return TenantWorkload(
+        topology=topology,
+        hodor_config=None,
+        epochs=timeline,
+        inputs_for=lambda _ts: inputs,
+    )
+
+
 def build_workload(spec: TenantSpec) -> TenantWorkload:
     """Rebuild a tenant's full workload deterministically from its spec."""
     if spec.scenario is not None:
@@ -106,45 +205,8 @@ def build_workload(spec: TenantSpec) -> TenantWorkload:
             inputs_for=inputs_by_ts.__getitem__,
         )
 
-    import random
-
-    from repro.control.demand_service import records_from_matrix
-    from repro.control.infra import ControlPlane
-    from repro.experiments.scale_study import churn_snapshot
-    from repro.net.demand import gravity_demand
-    from repro.net.simulation import NetworkSimulator
-    from repro.telemetry.collector import TelemetryCollector
-    from repro.telemetry.counters import Jitter
-    from repro.telemetry.probes import ProbeEngine
-    from repro.topologies.synthetic import waxman_topology
-
-    topology = waxman_topology(spec.nodes, seed=spec.seed)
-    demand = gravity_demand(
-        topology.node_names(), total=4.0 * spec.nodes, seed=spec.seed
-    )
-    truth = NetworkSimulator(topology, demand, strategy="single").run()
-    collector = TelemetryCollector(
-        Jitter(0.005, seed=spec.seed), probe_engine=ProbeEngine(seed=spec.seed)
-    )
-    base = collector.collect(truth)
-    plane = ControlPlane(topology)
-    records = records_from_matrix(demand, seed=spec.seed)
-    inputs = plane.compute_inputs(base, records)
-
-    rng = random.Random(spec.seed)
-    epochs = []
-    snapshot = base.copy()
-    snapshot.timestamp = 0.0
-    epochs.append((0.0, snapshot))
-    for index in range(1, spec.epochs):
-        timestamp = index * spec.epoch_spacing_s
-        snapshot = churn_snapshot(snapshot, spec.churn, rng, timestamp)
-        epochs.append((timestamp, snapshot))
-    return TenantWorkload(
-        topology=topology,
-        hodor_config=None,
-        epochs=epochs,
-        inputs_for=lambda _ts: inputs,
+    return synthetic_workload(
+        spec.nodes, spec.epochs, spec.seed, spec.churn, spec.epoch_spacing_s
     )
 
 
@@ -200,33 +262,28 @@ async def run_tenant_async(
             on_digest(digest)
 
     assembler = EpochAssembler(
-        routers=list(feeds),
-        lateness_s=spec.lateness_s,
+        routers=list(feeds), lateness_s=spec.lateness_s, metrics=registry
+    )
+    engine = ValidationEngine(
+        workload.topology,
+        config=workload.hodor_config,
+        backend=spec.backend,
         metrics=registry,
-        build_snapshots=not spec.scatter,
     )
     try:
-        with ValidationEngine(
-            workload.topology,
-            config=workload.hodor_config,
-            backend=spec.backend,
+        pipeline = StreamPipeline(
+            list(feeds.values()),
+            assembler,
+            engine,
+            inputs_for=workload.inputs_for,
+            config=IngestConfig(queue_size=spec.queue_size, deterministic=True),
             metrics=registry,
-        ) as engine:
-            pipeline = StreamPipeline(
-                list(feeds.values()),
-                assembler,
-                engine,
-                inputs_for=workload.inputs_for,
-                config=IngestConfig(
-                    queue_size=spec.queue_size, deterministic=True
-                ),
-                metrics=registry,
-                history=sink,
-                gate=gate,
-                on_epoch=observe,
-            )
-            result = await pipeline.run_async()
-            engine_registry(engine.stats, registry=registry)
+            history=sink,
+            gate=gate,
+            on_epoch=observe,
+        )
+        result = await pipeline.run_async()
+        engine_registry(engine.stats, registry=registry)
     finally:
         if sink is not None:
             sink.close()

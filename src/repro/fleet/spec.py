@@ -43,9 +43,6 @@ class TenantSpec:
         lateness_s: Assembler lateness window (virtual seconds).
         reorder / drop / duplicate: Feed perturbation probabilities.
         queue_size: Ingest queue bound.
-        scatter: Seal epochs as event buffers and fold through the
-            cached decoder (the fleet hot path); ``False`` rebuilds
-            snapshots in the assembler.
         history: Write validated epochs through to this tenant's
             store file (under the fleet's ``store_dir``).
     """
@@ -63,7 +60,6 @@ class TenantSpec:
     drop: float = 0.0
     duplicate: float = 0.0
     queue_size: int = 256
-    scatter: bool = True
     history: bool = False
 
     def __post_init__(self) -> None:

@@ -171,27 +171,27 @@ class TriModalOracle:
     def _engine_run(self, spec, epochs, inputs_by_ts, mode) -> List[ValidationReport]:
         hook = self.hooks.get(mode)
         reports = []
-        with ValidationEngine(
+        engine = ValidationEngine(
             spec.topology, config=spec.hodor_config, backend=mode
-        ) as engine:
-            for index, (timestamp, snapshot) in enumerate(epochs):
-                report = engine.validate(snapshot, inputs_by_ts[timestamp])
-                if hook is not None:
-                    report = hook(index, report)
-                reports.append(report)
+        )
+        for index, (timestamp, snapshot) in enumerate(epochs):
+            report = engine.validate(snapshot, inputs_by_ts[timestamp])
+            if hook is not None:
+                report = hook(index, report)
+            reports.append(report)
         return reports
 
     def _streamed_run(self, spec, epochs, inputs_by_ts) -> List[ValidationReport]:
         hook = self.hooks.get("streamed")
         feeds = make_feeds(epochs, perturb=spec.perturb, seed=spec.perturb_seed)
-        assembler = EpochAssembler(list(feeds), lateness_s=self.lateness_s, build_snapshots=False)
-        with ValidationEngine(
+        assembler = EpochAssembler(list(feeds), lateness_s=self.lateness_s)
+        engine = ValidationEngine(
             spec.topology, config=spec.hodor_config, backend="vector"
-        ) as engine:
-            pipeline = StreamPipeline(
-                list(feeds.values()), assembler, engine, inputs_for=inputs_by_ts
-            )
-            result = pipeline.run()
+        )
+        pipeline = StreamPipeline(
+            list(feeds.values()), assembler, engine, inputs_for=inputs_by_ts
+        )
+        result = pipeline.run()
         reports = list(result.reports)
         if hook is not None:
             reports = [hook(index, report) for index, report in enumerate(reports)]

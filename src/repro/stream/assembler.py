@@ -2,9 +2,9 @@
 
 :class:`EpochAssembler` turns an interleaved stream of
 :class:`~repro.stream.events.UpdateEvent` deliveries back into
-per-epoch :class:`~repro.telemetry.snapshot.NetworkSnapshot` objects
-the validation engine can consume, using the classic streaming
-low-watermark discipline:
+per-epoch sorted event buffers the validation engine consumes
+(:meth:`~repro.engine.ValidationEngine.validate_events`), using the
+classic streaming low-watermark discipline:
 
 * every delivery advances its router's **progress** (the running max
   of ``emit_ts`` seen from that feed -- feeds deliver in emit order,
@@ -15,16 +15,16 @@ low-watermark discipline:
   ``T + lateness_s``: no punctual feed can still deliver for it.
 
 Until it seals, an epoch buffers deliveries keyed by ``(router, uid)``
--- which both dedupes duplicated deliveries and makes the final
-snapshot independent of arrival interleaving: at seal time the buffer
-is applied in sorted key order.  (The buffer is one ``uid`` dict per
+-- which both dedupes duplicated deliveries and makes the sealed epoch
+independent of arrival interleaving: at seal time the buffer is
+emitted in sorted key order.  (The buffer is one ``uid`` dict per
 router, so a delivery allocates no key tuple of its own.)  A delivery
 for an already-sealed epoch is *late*: counted and dropped, never
 applied (a late write mutating history would desynchronise the
 engine's delta state).
 
 Sealed epochs are **partial** when some expected router contributed
-nothing: its signals are simply absent from the snapshot, which
+nothing: its signals are simply absent from the epoch, which
 Hodor's collection layer already treats as unknowns -- never zeros --
 so partial epochs flow through validation with no special casing.  The
 per-router coverage map on :class:`AssembledEpoch` records exactly who
@@ -43,8 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.obs.clock import monotonic_clock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NullTracer
-from repro.stream.events import UpdateEvent, apply_update
-from repro.telemetry.snapshot import NetworkSnapshot
+from repro.stream.events import UpdateEvent
 
 __all__ = ["AssembledEpoch", "EpochAssembler"]
 
@@ -57,31 +56,31 @@ ASSEMBLY_LATENCY_BUCKETS: Tuple[float, ...] = (
 
 @dataclass(frozen=True)
 class AssembledEpoch:
-    """One sealed epoch: the rebuilt snapshot plus its coverage record.
+    """One sealed epoch: its sorted event buffer plus its coverage record.
 
     Attributes:
         timestamp: The epoch's collection instant (snapshot timestamp).
-        snapshot: The snapshot rebuilt from buffered deliveries, or
-            ``None`` when the assembler runs with
-            ``build_snapshots=False`` (the scatter path: the engine
-            folds :attr:`events` itself through the cached decoder).
-        coverage: Applied-update count per contributing router.
+        snapshot: Always ``None``: the assembler seals events, not
+            snapshots.  ``bench/sut.py::batch_epoch`` builds an epoch
+            with ``snapshot=None``; the field is kept only for that
+            call; ROADMAP 1A(d) deletes both.
+        coverage: Sealed-update count per contributing router.
         expected: Every router the assembler expected to hear from.
         missing: Expected routers that contributed nothing (sorted).
         complete: ``True`` when no expected router is missing.
         sealed_by: ``"watermark"`` (the normal path) or ``"drain"``
             (sealed during shutdown before the watermark passed).
-        updates: Distinct updates applied to the snapshot.
+        updates: Distinct updates sealed into the epoch.
         duplicates: Duplicate deliveries suppressed for this epoch.
         assembly_latency_s: Real seconds from the epoch's first
             buffered delivery to seal.
         events: The deduped deliveries in sorted ``(router, uid)``
-            seal order; retained only with ``build_snapshots=False``
-            (otherwise empty -- the snapshot already holds the fold).
+            seal order; :class:`~repro.stream.fold.EventFolder` folds
+            them into the snapshot they describe.
     """
 
     timestamp: float
-    snapshot: Optional[NetworkSnapshot] = field(repr=False)
+    snapshot: None = field(repr=False)
     coverage: Dict[str, int] = field(repr=False)
     expected: Tuple[str, ...] = field(repr=False)
     missing: Tuple[str, ...]
@@ -119,13 +118,6 @@ class EpochAssembler:
             span.  Defaults to the no-op tracer.
         clock: Monotonic seconds source for assembly latency; defaults
             to :func:`repro.obs.clock.monotonic_clock`.
-        build_snapshots: ``True`` (default) applies the buffered
-            deliveries into a :class:`NetworkSnapshot` at seal time --
-            the classic path.  ``False`` seals epochs that carry only
-            their sorted event buffers (``snapshot=None``): the scatter
-            path, where the engine's cached decoder folds the events
-            without re-parsing a single path string (see
-            :mod:`repro.stream.fold`).
     """
 
     def __init__(
@@ -135,7 +127,6 @@ class EpochAssembler:
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
         clock=None,
-        build_snapshots: bool = True,
     ) -> None:
         if lateness_s < 0.0:
             raise ValueError(f"lateness_s must be >= 0, got {lateness_s!r}")
@@ -144,7 +135,6 @@ class EpochAssembler:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NullTracer()
         self._clock = clock if clock is not None else monotonic_clock
-        self._build_snapshots = build_snapshots
         self._open: Dict[float, _OpenEpoch] = {}
         self._sealed_ts: set = set()
         self._progress: Dict[str, float] = {r: float("-inf") for r in self.expected}
@@ -277,24 +267,6 @@ class EpochAssembler:
                 bucket[uid] for _router, bucket in buckets for uid in sorted(bucket)
             )
             coverage = {router: len(bucket) for router, bucket in buckets}
-            if self._build_snapshots:
-                snapshot: Optional[NetworkSnapshot] = NetworkSnapshot(timestamp=timestamp)
-                for event in ordered:
-                    # Assembly is the replay half of the event codec and
-                    # deliberately upstream of validation: apply_update()
-                    # must write the *raw* wire values (malformed junk
-                    # included) into the snapshot, because hardening this
-                    # early would hide exactly the garbage the engine's
-                    # harden_* stages exist to catch.  Every sealed epoch
-                    # is hardened by the engine before any verdict.
-                    apply_update(snapshot, event.path, event.value, event.meta)  # lint: ignore[T1]
-                events: Tuple[UpdateEvent, ...] = ()
-            else:
-                # Scatter path: the engine folds the sorted buffer
-                # itself through the cached decoder; carrying both the
-                # events and a snapshot would double epoch memory.
-                snapshot = None
-                events = ordered
             missing = tuple(r for r in self.expected if r not in coverage)
             span.annotate(
                 updates=len(ordered),
@@ -306,7 +278,7 @@ class EpochAssembler:
         self._latency_hist.observe(latency)
         return AssembledEpoch(
             timestamp=timestamp,
-            snapshot=snapshot,
+            snapshot=None,
             coverage=coverage,
             expected=self.expected,
             missing=missing,
@@ -315,5 +287,5 @@ class EpochAssembler:
             updates=len(ordered),
             duplicates=state.duplicates,
             assembly_latency_s=latency,
-            events=events,
+            events=ordered,
         )

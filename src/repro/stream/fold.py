@@ -1,31 +1,29 @@
 """Cached-decode event folding: sealed events -> snapshot, no re-parse.
 
-The assembler's classic seal path re-parses every delivery's gNMI path
-string (:meth:`~repro.telemetry.paths.SignalPath.parse` -- a regex
-match) before applying it to the under-construction snapshot; at WAN
-scale that per-event parse dominates the "snapshot reassembly" cost the
-ROADMAP names.  Path strings are drawn from a per-topology vocabulary
-that is stable across epochs, so :class:`EventFolder` decodes each
-distinct path **once**, memoizes a pre-bound applier closure, and
-thereafter folds events with a single dict lookup per delivery.
+The reference codec, :func:`repro.stream.events.apply_update`,
+re-parses every delivery's gNMI path string
+(:meth:`~repro.telemetry.paths.SignalPath.parse` -- a regex match)
+before applying it to a snapshot; at WAN scale that per-event parse
+would dominate snapshot reassembly.  Path strings are drawn from a
+per-topology vocabulary that is stable across epochs, so
+:class:`EventFolder` decodes each distinct path **once**, memoizes a
+pre-bound applier closure, and thereafter folds events with a single
+dict lookup per delivery.
 
-Folding is the *same* codec as
-:func:`repro.stream.events.apply_update` -- identical merge semantics
-for counter and status halves, identical raw-value passthrough
-(malformed junk rides the wire untouched), identical dataclass
-defaults -- so a folded snapshot is signal-for-signal identical to an
-applied one.  The scatter differential in
-``tests/stream/test_scatter_differential.py`` holds the two paths to
-byte-identical validation reports and provenance across every engine
-mode/backend combination.
+Folding is the *same* codec as ``apply_update`` -- identical merge
+semantics for counter and status halves, identical raw-value
+passthrough (malformed junk rides the wire untouched), identical
+dataclass defaults -- so a folded snapshot is signal-for-signal
+identical to an applied one.  ``tests/stream/test_stream_differential.py``
+holds the two to identical snapshots, and the streamed reports to the
+batch reports, on both backends.
 
-This is the reference codec of the ``build_snapshots=False`` seal
-path: sealed epochs carry their sorted event buffers instead of
-pre-applied snapshots, and on the python backend
-:meth:`~repro.engine.ValidationEngine.validate_events` folds them
-through this cache.  The vector backend packs the same events straight
-into its slot arrays (``VectorValidator.validate_events``) and is held
-to this fold's result, falling back to it for shapes it cannot prove.
+Every epoch the :class:`~repro.stream.assembler.EpochAssembler` seals
+is a sorted event buffer, and on the python backend
+:meth:`~repro.engine.ValidationEngine.validate_events` folds it through
+this cache.  The vector backend packs the same events straight into its
+slot arrays (``VectorValidator.validate_events``) and is held to this
+fold's result, falling back to it for shapes it cannot prove.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ Design points:
   merges all feeds in ``(emit_ts, router, uid)`` order, making the
   queue sequence -- and therefore every counter -- reproducible run
   to run.  ``False`` runs one producer task per feed; the assembler's
-  buffer-and-sort sealing keeps *snapshots* deterministic even then.
+  buffer-and-sort sealing keeps sealed epochs deterministic even then.
 
 The event-loop clock is read through
 :func:`repro.obs.clock.event_loop_time` -- the sanctioned seam --
@@ -477,17 +477,9 @@ class StreamPipeline:
             complete=epoch.complete,
             sealed_by=epoch.sealed_by,
         ) as span, _collector_paused():
-            if epoch.snapshot is None:
-                # Scatter path: the assembler sealed events only; the
-                # engine packs them (vector) or folds them (python)
-                # without re-parsing a single path string.
-                report = self._engine.validate_events(
-                    epoch.events, epoch.timestamp, inputs, topology=self._topology
-                )
-            else:
-                report = self._engine.validate(
-                    epoch.snapshot, inputs, topology=self._topology
-                )
+            report = self._engine.validate_events(
+                epoch.events, epoch.timestamp, inputs, topology=self._topology
+            )
             span.annotate(updates=epoch.updates, missing=len(epoch.missing))
             latency = event_loop_time() - sealed_at
         result.epochs.append(epoch)

@@ -9,13 +9,13 @@ throughput plus assembly-latency percentiles.  This is the load shape
 the ROADMAP's north star describes: heavy traffic, always on, as fast
 as the hardware allows.
 
-The fixture is the scale study's: a random Waxman topology with
-gravity demand, telemetry collected once and then churned per epoch by
-:func:`repro.experiments.scale_study.churn_snapshot` (R1-preserving
-link re-measurement), so streamed epochs carry realistic steady-state
-deltas and the vector backend has reuse to find.  Heavy
-dependencies are imported lazily so ``repro.stream`` stays cheap to
-import.
+The fixture is the synthetic fleet tenant's,
+:func:`repro.fleet.scenario.synthetic_workload`: a random Waxman
+topology with gravity demand, telemetry collected once and then churned
+per epoch (R1-preserving link re-measurement, every reading re-stamped
+to its epoch), so streamed epochs carry realistic steady-state deltas
+and the vector backend has reuse to find.  Heavy dependencies are
+imported lazily so ``repro.stream`` stays cheap to import.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class SoakConfig:
         queue_size: Ingest queue bound.
         backpressure: ``"block"`` or ``"drop-oldest"``.
         deterministic: Merged single-producer delivery order.
-        scatter: Seal epochs as sorted event buffers instead of
-            pre-applied snapshots; the engine folds them through the
-            cached decoder (``validate_events``), skipping the
-            per-event path re-parse of the classic reassembly path.
         history_path: When set, attach a history sink at this sqlite
             path and write every validated epoch through (E18's store).
         history_deterministic: Byte-reproducible store writes (epoch
@@ -80,7 +76,6 @@ class SoakConfig:
     queue_size: int = 256
     backpressure: str = "block"
     deterministic: bool = True
-    scatter: bool = False
     history_path: Optional[str] = None
     history_deterministic: bool = False
     history_retention_epochs: Optional[int] = None
@@ -163,47 +158,17 @@ def _percentile_ms(sorted_s: List[float], q: float) -> float:
 def run_soak(
     config: Optional[SoakConfig] = None,
     metrics: Optional[MetricsRegistry] = None,
-    tracer=None,
 ) -> SoakResult:
     """Run one soak to completion and measure it."""
-    import random
-
-    from repro.control.demand_service import records_from_matrix
-    from repro.control.infra import ControlPlane
     from repro.engine import ValidationEngine, engine_registry
-    from repro.experiments.scale_study import churn_snapshot
-    from repro.net.demand import gravity_demand
-    from repro.net.simulation import NetworkSimulator
-    from repro.telemetry.collector import TelemetryCollector
-    from repro.telemetry.counters import Jitter
-    from repro.telemetry.probes import ProbeEngine
-    from repro.topologies.synthetic import waxman_topology
+    from repro.fleet.scenario import synthetic_workload
 
     config = config or SoakConfig()
     registry = metrics if metrics is not None else MetricsRegistry()
-
-    topology = waxman_topology(config.nodes, seed=config.seed)
-    demand = gravity_demand(
-        topology.node_names(), total=4.0 * config.nodes, seed=config.seed
+    workload = synthetic_workload(
+        config.nodes, config.epochs, config.seed, config.churn, config.epoch_spacing_s
     )
-    truth = NetworkSimulator(topology, demand, strategy="single").run()
-    collector = TelemetryCollector(
-        Jitter(0.005, seed=config.seed), probe_engine=ProbeEngine(seed=config.seed)
-    )
-    base = collector.collect(truth)
-    plane = ControlPlane(topology)
-    records = records_from_matrix(demand, seed=config.seed)
-    inputs = plane.compute_inputs(base, records)
-
-    rng = random.Random(config.seed)
-    epochs: List[Tuple[float, object]] = []
-    snapshot = base.copy()
-    snapshot.timestamp = 0.0
-    epochs.append((0.0, snapshot))
-    for index in range(1, config.epochs):
-        timestamp = index * config.epoch_spacing_s
-        snapshot = churn_snapshot(snapshot, config.churn, rng, timestamp)
-        epochs.append((timestamp, snapshot))
+    topology = workload.topology
 
     sink = None
     if config.history_path is not None:
@@ -233,38 +198,28 @@ def run_soak(
             metrics=registry,
         )
 
-    feeds = make_feeds(epochs, perturb=config.perturb, seed=config.seed)
+    feeds = make_feeds(workload.epochs, perturb=config.perturb, seed=config.seed)
     assembler = EpochAssembler(
-        routers=list(feeds),
-        lateness_s=config.lateness_s,
-        metrics=registry,
-        tracer=tracer,
-        build_snapshots=not config.scatter,
+        routers=list(feeds), lateness_s=config.lateness_s, metrics=registry
     )
-    with ValidationEngine(
-        topology,
-        backend=config.backend,
+    engine = ValidationEngine(topology, backend=config.backend, metrics=registry)
+    pipeline = StreamPipeline(
+        list(feeds.values()),
+        assembler,
+        engine,
+        inputs_for=workload.inputs_for,
+        config=IngestConfig(
+            queue_size=config.queue_size,
+            backpressure=config.backpressure,
+            deterministic=config.deterministic,
+        ),
         metrics=registry,
-        tracer=tracer,
-    ) as engine:
-        pipeline = StreamPipeline(
-            list(feeds.values()),
-            assembler,
-            engine,
-            inputs_for=lambda _ts: inputs,
-            config=IngestConfig(
-                queue_size=config.queue_size,
-                backpressure=config.backpressure,
-                deterministic=config.deterministic,
-            ),
-            metrics=registry,
-            tracer=tracer,
-            history=sink,
-        )
-        start = monotonic_clock()
-        result = pipeline.run()
-        wall_s = monotonic_clock() - start
-        engine_registry(engine.stats, registry=registry)
+        history=sink,
+    )
+    start = monotonic_clock()
+    result = pipeline.run()
+    wall_s = monotonic_clock() - start
+    engine_registry(engine.stats, registry=registry)
 
     history_epochs = history_bytes = history_compacted = deleted = alerts_fired = 0
     if sink is not None:

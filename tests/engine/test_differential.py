@@ -25,24 +25,24 @@ def test_catalog_scenario_matches_serial(scenario):
     """Every catalog entry, validated by both paths."""
     world = scenario.build(seed=7)
     outcome = world.run_epoch()
-    with ValidationEngine(world.topology, config=world.hodor_config) as engine:
-        report = engine.validate(outcome.snapshot, outcome.inputs)
-        diffs = compare_reports(outcome.report, report)
-        assert not diffs, f"{scenario.scenario_id}: {diffs[:5]}"
+    engine = ValidationEngine(world.topology, config=world.hodor_config)
+    report = engine.validate(outcome.snapshot, outcome.inputs)
+    diffs = compare_reports(outcome.report, report)
+    assert not diffs, f"{scenario.scenario_id}: {diffs[:5]}"
 
 
 @pytest.mark.parametrize("scenario_id", ["S01", "S07", "S12", "S16"])
 def test_multi_epoch_timeline_matches_serial(scenario_id):
     """A single long-lived engine stays equivalent across a timeline."""
     world = scenario_by_id(scenario_id).build(seed=3)
-    with ValidationEngine(world.topology, config=world.hodor_config) as engine:
-        for epoch in range(3):
-            outcome = world.run_epoch(timestamp=float(epoch))
-            report = engine.validate(outcome.snapshot, outcome.inputs)
-            diffs = compare_reports(outcome.report, report)
-            assert not diffs, f"epoch {epoch}: {diffs[:5]}"
-        assert engine.stats.cache_hits == 2
-        assert engine.stats.cache_misses == 1
+    engine = ValidationEngine(world.topology, config=world.hodor_config)
+    for epoch in range(3):
+        outcome = world.run_epoch(timestamp=float(epoch))
+        report = engine.validate(outcome.snapshot, outcome.inputs)
+        diffs = compare_reports(outcome.report, report)
+        assert not diffs, f"epoch {epoch}: {diffs[:5]}"
+    assert engine.stats.cache_hits == 2
+    assert engine.stats.cache_misses == 1
 
 
 @pytest.mark.parametrize(
@@ -52,10 +52,10 @@ def test_random_world_matches_serial(size, seed):
     """Randomized clean worlds: bitwise-equal reports."""
     topology, snapshot, inputs = random_epoch(size, seed)
     serial = Hodor(topology).validate(snapshot, inputs)
-    with ValidationEngine(topology) as engine:
-        report = engine.validate(snapshot, inputs)
-        diffs = compare_reports(serial, report)
-        assert not diffs, f"{diffs[:5]}"
+    engine = ValidationEngine(topology)
+    report = engine.validate(snapshot, inputs)
+    diffs = compare_reports(serial, report)
+    assert not diffs, f"{diffs[:5]}"
 
 
 @pytest.mark.parametrize("size,seed", [(8, 10), (12, 11), (16, 12)])
@@ -64,10 +64,10 @@ def test_corrupted_world_exercises_repair_and_matches(size, seed):
     topology, snapshot, inputs = random_epoch(size, seed, corrupted=True)
     serial = Hodor(topology).validate(snapshot, inputs)
     assert any(f.code == "R1_COUNTER_MISMATCH" for f in serial.hardened.findings)
-    with ValidationEngine(topology) as engine:
-        report = engine.validate(snapshot, inputs)
-        diffs = compare_reports(serial, report)
-        assert not diffs, f"{diffs[:5]}"
+    engine = ValidationEngine(topology)
+    report = engine.validate(snapshot, inputs)
+    diffs = compare_reports(serial, report)
+    assert not diffs, f"{diffs[:5]}"
 
 
 def test_repaired_values_compared_with_tolerance():
@@ -82,5 +82,5 @@ def test_repaired_values_compared_with_tolerance():
     if not repaired:
         pytest.skip("corruption did not yield a repair on this seed")
     # The engine's report with an identical snapshot must still match.
-    with ValidationEngine(topology) as engine:
-        assert not compare_reports(serial, engine.validate(snapshot, inputs))
+    engine = ValidationEngine(topology)
+    assert not compare_reports(serial, engine.validate(snapshot, inputs))

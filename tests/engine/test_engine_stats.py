@@ -18,8 +18,7 @@ def replayed_engine():
         epochs.append(EpochInput(snapshot=outcome.snapshot, inputs=outcome.inputs))
     engine = ValidationEngine(world.topology, config=world.hodor_config)
     engine.replay(epochs)
-    yield engine
-    engine.close()
+    return engine
 
 
 class TestCacheCounters:
@@ -39,13 +38,13 @@ class TestCacheCounters:
     def test_topology_change_counts_as_miss(self):
         topo_a, snap_a, inputs_a = random_epoch(8, 30)
         topo_b, snap_b, inputs_b = random_epoch(10, 31)
-        with ValidationEngine(topo_a) as engine:
-            engine.validate(snap_a, inputs_a)
-            engine.validate(snap_b, inputs_b, topology=topo_b)
-            engine.validate(snap_a, inputs_a)
-            engine.validate(snap_b, inputs_b, topology=topo_b)
-            assert engine.stats.cache_misses == 2
-            assert engine.stats.cache_hits == 2
+        engine = ValidationEngine(topo_a)
+        engine.validate(snap_a, inputs_a)
+        engine.validate(snap_b, inputs_b, topology=topo_b)
+        engine.validate(snap_a, inputs_a)
+        engine.validate(snap_b, inputs_b, topology=topo_b)
+        assert engine.stats.cache_misses == 2
+        assert engine.stats.cache_hits == 2
 
 
 class TestStageTimings:

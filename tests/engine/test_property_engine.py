@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core.invariants import InvariantStatus
 from repro.engine import EpochInput, ValidationEngine, compare_reports
-from repro.experiments import churn_snapshot
+from repro.fleet.scenario import churn_snapshot
 from repro.net.topology import EXTERNAL_PEER, Link
 from repro.scenarios.catalog import all_scenarios
 
@@ -49,10 +49,10 @@ def test_epoch_batching_invariance(seed, backend):
         epochs.append(EpochInput(snapshot=snapshot, inputs=inputs))
     topology = random_epoch(8, seed)[0]
 
-    with ValidationEngine(topology, backend=backend) as batched:
-        batch_reports = batched.replay(epochs)
-    with ValidationEngine(topology, backend=backend) as stepped:
-        step_reports = [stepped.validate(e.snapshot, e.inputs) for e in epochs]
+    batched = ValidationEngine(topology, backend=backend)
+    batch_reports = batched.replay(epochs)
+    stepped = ValidationEngine(topology, backend=backend)
+    step_reports = [stepped.validate(e.snapshot, e.inputs) for e in epochs]
 
     assert len(batch_reports) == len(step_reports) == 3
     for batch_report, step_report in zip(batch_reports, step_reports):
@@ -67,17 +67,17 @@ def test_cache_hit_path_equals_cache_miss_path(seed, backend):
     topology_a, snapshot_a, inputs_a = random_epoch(8, seed)
     topology_b, snapshot_b, inputs_b = random_epoch(10, seed + 50)
 
-    with ValidationEngine(topology_a, backend=backend) as engine:
-        miss_report = engine.validate(snapshot_a, inputs_a)  # miss
-        engine.validate(snapshot_b, inputs_b, topology=topology_b)  # miss
-        hit_report = engine.validate(snapshot_a, inputs_a)  # hit
-        assert engine.stats.cache_hits == 1
-        assert engine.stats.cache_misses == 2
+    engine = ValidationEngine(topology_a, backend=backend)
+    miss_report = engine.validate(snapshot_a, inputs_a)  # miss
+    engine.validate(snapshot_b, inputs_b, topology=topology_b)  # miss
+    hit_report = engine.validate(snapshot_a, inputs_a)  # hit
+    assert engine.stats.cache_hits == 1
+    assert engine.stats.cache_misses == 2
     assert not compare_reports(miss_report, hit_report)
 
     # And the hit-served report equals a completely fresh engine's.
-    with ValidationEngine(topology_a, backend=backend) as fresh:
-        assert not compare_reports(fresh.validate(snapshot_a, inputs_a), hit_report)
+    fresh = ValidationEngine(topology_a, backend=backend)
+    assert not compare_reports(fresh.validate(snapshot_a, inputs_a), hit_report)
 
 
 # ----------------------------------------------------------------------
@@ -106,18 +106,19 @@ def assert_tallies_hold(report, oracle_report, context):
 def test_tallies_hold_over_catalog_timelines(scenario_id):
     scenario = next(s for s in all_scenarios() if s.scenario_id == scenario_id)
     world = scenario.build(seed=3)
-    with ValidationEngine(
+    oracle = ValidationEngine(
         world.topology, config=world.hodor_config, backend="python"
-    ) as oracle, ValidationEngine(
+    )
+    engine = ValidationEngine(
         world.topology, config=world.hodor_config, backend="vector"
-    ) as engine:
-        for epoch in range(3):
-            outcome = world.run_epoch(timestamp=float(epoch))
-            assert_tallies_hold(
-                engine.validate(outcome.snapshot, outcome.inputs),
-                oracle.validate(outcome.snapshot, outcome.inputs),
-                f"{scenario_id} epoch {epoch}",
-            )
+    )
+    for epoch in range(3):
+        outcome = world.run_epoch(timestamp=float(epoch))
+        assert_tallies_hold(
+            engine.validate(outcome.snapshot, outcome.inputs),
+            oracle.validate(outcome.snapshot, outcome.inputs),
+            f"{scenario_id} epoch {epoch}",
+        )
 
 
 # Faults a stream switches on and off.  Each takes and returns
@@ -221,22 +222,23 @@ def _run_fault_stream(world_seed, toggles, churn):
     rng = random.Random(world_seed)
     active = set()
     reports = []
-    with ValidationEngine(topology, backend="python") as oracle, ValidationEngine(
+    oracle = ValidationEngine(topology, backend="python")
+    engine = ValidationEngine(
         topology, backend="vector"
-    ) as engine:
-        for epoch, toggle in enumerate(toggles):
-            active ^= {toggle}
-            base_snapshot = churn_snapshot(base_snapshot, churn, rng, float(epoch))
-            snapshot, inputs = base_snapshot.copy(), base_inputs
-            for index in sorted(active):
-                snapshot, inputs = FAULTS[index](snapshot, inputs)
-            report = engine.validate(snapshot, inputs)
-            assert_tallies_hold(
-                report,
-                oracle.validate(snapshot, inputs),
-                f"world {world_seed} epoch {epoch} active {sorted(active)}",
-            )
-            reports.append(report)
+    )
+    for epoch, toggle in enumerate(toggles):
+        active ^= {toggle}
+        base_snapshot = churn_snapshot(base_snapshot, churn, rng, float(epoch))
+        snapshot, inputs = base_snapshot.copy(), base_inputs
+        for index in sorted(active):
+            snapshot, inputs = FAULTS[index](snapshot, inputs)
+        report = engine.validate(snapshot, inputs)
+        assert_tallies_hold(
+            report,
+            oracle.validate(snapshot, inputs),
+            f"world {world_seed} epoch {epoch} active {sorted(active)}",
+        )
+        reports.append(report)
     return reports
 
 

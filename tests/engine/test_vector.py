@@ -27,7 +27,7 @@ from repro.core.hardening import Hardener
 from repro.core.pipeline import Hodor
 from repro.engine import ValidationEngine, compare_reports
 from repro.engine.cache import TopologyCache
-from repro.experiments import churn_snapshot
+from repro.fleet.scenario import churn_snapshot
 from repro.fuzz.generate import CaseGenerator
 from repro.scenarios.catalog import all_scenarios
 
@@ -100,20 +100,20 @@ class TestCatalogParity:
         )
         world = scenario.build(seed=7)
         snapshots = []
-        with ValidationEngine(
+        engine = ValidationEngine(
             world.topology, config=world.hodor_config, backend="vector"
-        ) as engine:
-            for epoch in range(3):
-                outcome = world.run_epoch(timestamp=float(epoch))
-                report = engine.validate(outcome.snapshot, outcome.inputs)
-                snapshots.append(outcome.snapshot)
-                assert_reports_identical(
-                    outcome.report,
-                    report,
-                    context=f"{scenario_id} epoch {epoch}",
-                )
-            assert engine.stats.backend == "vector"
-            assert engine.stats.epochs == 3
+        )
+        for epoch in range(3):
+            outcome = world.run_epoch(timestamp=float(epoch))
+            report = engine.validate(outcome.snapshot, outcome.inputs)
+            snapshots.append(outcome.snapshot)
+            assert_reports_identical(
+                outcome.report,
+                report,
+                context=f"{scenario_id} epoch {epoch}",
+            )
+        assert engine.stats.backend == "vector"
+        assert engine.stats.epochs == 3
         # One solver behind both front ends: the array front end solves
         # and reuses exactly the components the dict front end does.
         counts = (engine.stats.repair_solves, engine.stats.repair_reuses)
@@ -130,10 +130,10 @@ class TestRandomWorlds:
     )
     def test_single_epoch_parity(self, size, seed, corrupted):
         topology, snapshot, inputs = random_epoch(size, seed, corrupted=corrupted)
-        with ValidationEngine(topology) as serial:
-            reference = serial.validate(snapshot, inputs)
-        with ValidationEngine(topology, backend="vector") as engine:
-            report = engine.validate(snapshot, inputs)
+        serial = ValidationEngine(topology)
+        reference = serial.validate(snapshot, inputs)
+        engine = ValidationEngine(topology, backend="vector")
+        report = engine.validate(snapshot, inputs)
         assert_reports_identical(
             reference, report, context=f"size={size} seed={seed}"
         )
@@ -142,37 +142,37 @@ class TestRandomWorlds:
         """Replaying the same snapshot object takes the wholesale
         short-circuit and still reproduces the serial report exactly."""
         topology, snapshot, inputs = random_epoch(10, 4)
-        with ValidationEngine(topology) as serial:
-            reference = serial.validate(snapshot, inputs)
-        with ValidationEngine(topology, backend="vector") as engine:
-            for replay in range(3):
-                report = engine.validate(snapshot, inputs)
-                assert_reports_identical(
-                    reference, report, context=f"replay {replay}"
-                )
+        serial = ValidationEngine(topology)
+        reference = serial.validate(snapshot, inputs)
+        engine = ValidationEngine(topology, backend="vector")
+        for replay in range(3):
+            report = engine.validate(snapshot, inputs)
+            assert_reports_identical(
+                reference, report, context=f"replay {replay}"
+            )
 
     def test_vector_records_reuse_on_replay(self):
         """Unlike the python backend, the vector backend is
         delta-aware: an identical replay recomputes nothing and serves
         every unit the priming epoch computed from its state."""
         topology, snapshot, inputs = random_epoch(10, 5)
-        with ValidationEngine(topology, backend="vector") as engine:
-            engine.validate(snapshot, inputs)
-            primed = engine.stats.total_entities_recomputed
-            assert primed > 0  # the priming epoch computes everything
-            reused_priming = engine.stats.total_entities_reused
-            engine.validate(snapshot, inputs)
-            assert engine.stats.total_entities_recomputed == primed
-            assert engine.stats.total_entities_reused - reused_priming >= primed
+        engine = ValidationEngine(topology, backend="vector")
+        engine.validate(snapshot, inputs)
+        primed = engine.stats.total_entities_recomputed
+        assert primed > 0  # the priming epoch computes everything
+        reused_priming = engine.stats.total_entities_reused
+        engine.validate(snapshot, inputs)
+        assert engine.stats.total_entities_recomputed == primed
+        assert engine.stats.total_entities_reused - reused_priming >= primed
 
     def test_model_compiles_once_per_topology(self):
         topology, snapshot, inputs = random_epoch(8, 6)
-        with ValidationEngine(topology, backend="vector") as engine:
-            for _ in range(4):
-                engine.validate(snapshot, inputs)
-            store = engine._model_store
-            assert store.misses == 1
-            assert len(store) == 1
+        engine = ValidationEngine(topology, backend="vector")
+        for _ in range(4):
+            engine.validate(snapshot, inputs)
+        store = engine._model_store
+        assert store.misses == 1
+        assert len(store) == 1
 
     def test_unknown_backend_rejected(self):
         topology, _, _ = random_epoch(6, 0)
@@ -192,17 +192,17 @@ class TestDeltaStreams:
         """Randomized churn streams at several churn rates."""
         topology, snapshot, inputs = random_epoch(size, seed)
         rng = random.Random(seed)
-        with ValidationEngine(topology, backend="vector") as engine:
-            for epoch in range(5):
-                serial = Hodor(topology).validate(snapshot, inputs)
-                report = engine.validate(snapshot, inputs)
-                assert_reports_identical(
-                    serial, report, context=f"churn={churn} epoch {epoch}"
-                )
-                snapshot = churn_snapshot(snapshot, churn, rng, float(epoch + 1))
-            if churn == 0.0:
-                # Nothing moved after priming, so nothing may recompute.
-                assert engine.stats.reuse_rate() > 0.7
+        engine = ValidationEngine(topology, backend="vector")
+        for epoch in range(5):
+            serial = Hodor(topology).validate(snapshot, inputs)
+            report = engine.validate(snapshot, inputs)
+            assert_reports_identical(
+                serial, report, context=f"churn={churn} epoch {epoch}"
+            )
+            snapshot = churn_snapshot(snapshot, churn, rng, float(epoch + 1))
+        if churn == 0.0:
+            # Nothing moved after priming, so nothing may recompute.
+            assert engine.stats.reuse_rate() > 0.7
 
     @pytest.mark.parametrize("size,seed", [(8, 10), (12, 11)])
     def test_corruption_appearing_and_disappearing(self, size, seed):
@@ -215,17 +215,17 @@ class TestDeltaStreams:
         """
         topology, clean_snap, inputs = random_epoch(size, seed)
         _, corrupt_snap, _ = random_epoch(size, seed, corrupted=True)
-        with ValidationEngine(topology, backend="vector") as engine:
-            for epoch, snap in enumerate(
-                (clean_snap, corrupt_snap, clean_snap, corrupt_snap)
-            ):
-                serial = Hodor(topology).validate(snap, inputs)
-                report = engine.validate(snap, inputs)
-                assert_reports_identical(serial, report, context=f"epoch {epoch}")
-            assert engine.stats.repair_solves > 0
-            # The repeated corrupted epoch replays the identical component,
-            # so the conservation solver cache must have hit.
-            assert engine.stats.repair_reuses > 0
+        engine = ValidationEngine(topology, backend="vector")
+        for epoch, snap in enumerate(
+            (clean_snap, corrupt_snap, clean_snap, corrupt_snap)
+        ):
+            serial = Hodor(topology).validate(snap, inputs)
+            report = engine.validate(snap, inputs)
+            assert_reports_identical(serial, report, context=f"epoch {epoch}")
+        assert engine.stats.repair_solves > 0
+        # The repeated corrupted epoch replays the identical component,
+        # so the conservation solver cache must have hit.
+        assert engine.stats.repair_reuses > 0
 
     @pytest.mark.parametrize(
         "mutate",
@@ -244,24 +244,24 @@ class TestDeltaStreams:
         """Controller-input changes must dirty the checks even with zero churn."""
         topology, snapshot, inputs = random_epoch(10, 40)
         changed_inputs = mutate(inputs)
-        with ValidationEngine(topology, backend="vector") as engine:
-            for epoch, epoch_inputs in enumerate((inputs, changed_inputs, inputs)):
-                serial = Hodor(topology).validate(snapshot, epoch_inputs)
-                report = engine.validate(snapshot, epoch_inputs)
-                assert_reports_identical(serial, report, context=f"epoch {epoch}")
+        engine = ValidationEngine(topology, backend="vector")
+        for epoch, epoch_inputs in enumerate((inputs, changed_inputs, inputs)):
+            serial = Hodor(topology).validate(snapshot, epoch_inputs)
+            report = engine.validate(snapshot, epoch_inputs)
+            assert_reports_identical(serial, report, context=f"epoch {epoch}")
 
     def test_reset_reprimes_from_scratch(self):
         """After ``reset()`` the next epoch recomputes everything, correctly."""
         topology, snapshot, inputs = random_epoch(8, 60)
         serial = Hodor(topology).validate(snapshot, inputs)
-        with ValidationEngine(topology, backend="vector") as engine:
-            engine.validate(snapshot, inputs)
-            primed = engine.stats.total_entities_recomputed
-            for validator in engine._validators.values():
-                validator.reset()
-            report = engine.validate(snapshot, inputs)
-            assert_reports_identical(serial, report, context="post-reset")
-            assert engine.stats.total_entities_recomputed == 2 * primed
+        engine = ValidationEngine(topology, backend="vector")
+        engine.validate(snapshot, inputs)
+        primed = engine.stats.total_entities_recomputed
+        for validator in engine._validators.values():
+            validator.reset()
+        report = engine.validate(snapshot, inputs)
+        assert_reports_identical(serial, report, context="post-reset")
+        assert engine.stats.total_entities_recomputed == 2 * primed
 
 
 def _without_first_link(topology):
@@ -330,24 +330,25 @@ class TestReportsOwnTheirLists:
             ("events", lambda e: e.validate_events(events, snapshot.timestamp, inputs)),
             ("snapshot after events", lambda e: e.validate(snapshot, inputs)),
         ]
-        with ValidationEngine(topology, backend="python") as oracle, ValidationEngine(
+        oracle = ValidationEngine(topology, backend="python")
+        engine = ValidationEngine(
             topology, backend="vector"
-        ) as engine:
-            previous = None
-            for label, step in steps:
-                report = step(engine)
-                assert_reports_identical(step(oracle), report, context=label)
-                assert report.checks["topology"].violations, label
-                if previous is not None:
-                    assert self._untouched(previous[0]) == previous[1], label
-                previous = (report, self._untouched(report))
-                self._vandalise(report)
+        )
+        previous = None
+        for label, step in steps:
+            report = step(engine)
+            assert_reports_identical(step(oracle), report, context=label)
+            assert report.checks["topology"].violations, label
+            if previous is not None:
+                assert self._untouched(previous[0]) == previous[1], label
+            previous = (report, self._untouched(report))
+            self._vandalise(report)
 
     def test_violations_returns_a_list_of_its_own(self):
         topology, snapshot, inputs = random_epoch(10, 40)
         inputs = dataclasses.replace(inputs, topology=_without_first_link(inputs.topology))
-        with ValidationEngine(topology, backend="vector") as engine:
-            check = engine.validate(snapshot, inputs).checks["topology"]
+        engine = ValidationEngine(topology, backend="vector")
+        check = engine.validate(snapshot, inputs).checks["topology"]
         first = check.violations
         assert first and first is not check.violations
         first.append("not a result")
@@ -356,31 +357,31 @@ class TestReportsOwnTheirLists:
     def test_reset_after_an_exception_mid_check_drops_tallies(self, monkeypatch):
         topology, snapshot, inputs = random_epoch(8, 61)
         changed = dataclasses.replace(inputs, drains=_with_link_drained(inputs.drains))
-        with ValidationEngine(topology, backend="vector") as engine:
-            engine.validate(snapshot, inputs)
-            validator = next(iter(engine._validators.values()))
-            assert all(family._flat is not None for family in _check_families(validator))
+        engine = ValidationEngine(topology, backend="vector")
+        engine.validate(snapshot, inputs)
+        validator = next(iter(engine._validators.values()))
+        assert all(family._flat is not None for family in _check_families(validator))
 
-            def boom(*_args, **_kwargs):
-                raise RuntimeError("mid-check")
+        def boom(*_args, **_kwargs):
+            raise RuntimeError("mid-check")
 
-            # Demand, topology and the drain nodes are done by the time
-            # the one dirty link reaches its unit.
-            monkeypatch.setattr(DrainChecker, "check_link_entity", boom)
-            with pytest.raises(RuntimeError, match="mid-check"):
-                engine.validate(snapshot, changed)
-            monkeypatch.undo()
+        # Demand, topology and the drain nodes are done by the time
+        # the one dirty link reaches its unit.
+        monkeypatch.setattr(DrainChecker, "check_link_entity", boom)
+        with pytest.raises(RuntimeError, match="mid-check"):
+            engine.validate(snapshot, changed)
+        monkeypatch.undo()
 
-            assert not validator._primed
-            for family in _check_families(validator):
-                assert family._flat is None
-                assert not family.num_violated.any() and not family.num_evaluated.any()
-                assert all(entry is None for entry in family.results.tolist())
-            assert_reports_identical(
-                Hodor(topology).validate(snapshot, changed),
-                engine.validate(snapshot, changed),
-                context="post-exception",
-            )
+        assert not validator._primed
+        for family in _check_families(validator):
+            assert family._flat is None
+            assert not family.num_violated.any() and not family.num_evaluated.any()
+            assert all(entry is None for entry in family.results.tolist())
+        assert_reports_identical(
+            Hodor(topology).validate(snapshot, changed),
+            engine.validate(snapshot, changed),
+            context="post-exception",
+        )
 
     def test_compare_reports_catches_a_tally_off_by_one(self, monkeypatch):
         """The planted mutant: one dirty entity's evaluated count is
@@ -388,18 +389,18 @@ class TestReportsOwnTheirLists:
         carry the wrong count; the report's own results give it away."""
         topology, snapshot, inputs = random_epoch(8, 62)
         changed = dataclasses.replace(inputs, drains=_flipped_drains(inputs.drains))
-        with ValidationEngine(topology, backend="vector") as engine:
-            engine.validate(snapshot, inputs)
-            validator = next(iter(engine._validators.values()))
-            family = validator._dn_entries
-            store = family.store
+        engine = ValidationEngine(topology, backend="vector")
+        engine.validate(snapshot, inputs)
+        validator = next(iter(engine._validators.values()))
+        family = validator._dn_entries
+        store = family.store
 
-            def off_by_one(i, results, notes=()):
-                store(i, results, notes)
-                family.num_evaluated[i] += 1
+        def off_by_one(i, results, notes=()):
+            store(i, results, notes)
+            family.num_evaluated[i] += 1
 
-            monkeypatch.setattr(family, "store", off_by_one)
-            report = engine.validate(snapshot, changed)
+        monkeypatch.setattr(family, "store", off_by_one)
+        report = engine.validate(snapshot, changed)
         reference = Hodor(topology).validate(snapshot, changed)
         diffs = compare_reports(reference, report)
         assert any(d.startswith("b.checks['drain']: tally") for d in diffs), diffs
@@ -431,13 +432,13 @@ class TestFuzzTimelineParity:
             outcome = world.run_epoch(timestamp=spec.timestamp_for(index))
             epochs.append((outcome.snapshot, outcome.inputs))
             references.append(outcome.report)
-        with ValidationEngine(
+        engine = ValidationEngine(
             spec.topology, config=spec.hodor_config, backend="vector"
-        ) as engine:
-            for index, (snapshot, inputs) in enumerate(epochs):
-                report = engine.validate(snapshot, inputs)
-                assert_reports_identical(
-                    references[index],
-                    report,
-                    context=f"seed={seed} epoch={index}",
-                )
+        )
+        for index, (snapshot, inputs) in enumerate(epochs):
+            report = engine.validate(snapshot, inputs)
+            assert_reports_identical(
+                references[index],
+                report,
+                context=f"seed={seed} epoch={index}",
+            )

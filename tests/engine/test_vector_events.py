@@ -207,12 +207,11 @@ def test_pack_events_matches_fold_then_pack(events):
 
 def _reports(events, timestamp=TS):
     """(python-backend report, vector-backend report, took the fast path)."""
-    with ValidationEngine(TOPOLOGY, backend="python") as oracle:
-        expected = oracle.validate_events(events, timestamp, INPUTS)
+    oracle = ValidationEngine(TOPOLOGY, backend="python")
+    expected = oracle.validate_events(events, timestamp, INPUTS)
     engine, validator = vector_validator()
     fast = validator._pack_events(events, timestamp)
-    with engine:
-        got = engine.validate_events(events, timestamp, INPUTS)
+    got = engine.validate_events(events, timestamp, INPUTS)
     return expected, got, fast
 
 
@@ -268,9 +267,9 @@ def test_unparseable_path_falls_back_and_raises_like_the_fold():
     engine, validator = vector_validator()
     assert not validator._pack_events(events, TS)
     for backend in ("python", "vector"):
-        with ValidationEngine(TOPOLOGY, backend=backend) as engine:
-            with pytest.raises(PathError):
-                engine.validate_events(events, TS, INPUTS)
+        engine = ValidationEngine(TOPOLOGY, backend=backend)
+        with pytest.raises(PathError):
+            engine.validate_events(events, TS, INPUTS)
 
 
 # ----------------------------------------------------------------------
@@ -289,24 +288,25 @@ def _corrupted_rows():
 def test_interleaved_entry_points_do_not_leak_replay_identity():
     other = seal(_corrupted_rows(), timestamp=TS + 10.0)
     folded = EventFolder().fold(other, TS + 10.0)
-    with ValidationEngine(TOPOLOGY, backend="python") as oracle, ValidationEngine(
+    oracle = ValidationEngine(TOPOLOGY, backend="python")
+    engine = ValidationEngine(
         TOPOLOGY, backend="vector"
-    ) as engine:
-        for step in range(2):
-            # Snapshot, a different epoch from events, the same snapshot
-            # *object* again: the third must not replay the second.
-            assert_identical(oracle.validate(SNAPSHOT, INPUTS), engine.validate(SNAPSHOT, INPUTS))
-            assert_identical(
-                oracle.validate(folded, INPUTS),
-                engine.validate_events(other, TS + 10.0, INPUTS),
-            )
-            recomputed = engine.stats.entities_recomputed.get("collect", 0)
-            assert_identical(oracle.validate(SNAPSHOT, INPUTS), engine.validate(SNAPSHOT, INPUTS))
-            assert engine.stats.entities_recomputed["collect"] > recomputed, step
-        # Two snapshot epochs in a row on the same object do replay.
-        recomputed = engine.stats.entities_recomputed["collect"]
+    )
+    for step in range(2):
+        # Snapshot, a different epoch from events, the same snapshot
+        # *object* again: the third must not replay the second.
         assert_identical(oracle.validate(SNAPSHOT, INPUTS), engine.validate(SNAPSHOT, INPUTS))
-        assert engine.stats.entities_recomputed["collect"] == recomputed
+        assert_identical(
+            oracle.validate(folded, INPUTS),
+            engine.validate_events(other, TS + 10.0, INPUTS),
+        )
+        recomputed = engine.stats.entities_recomputed.get("collect", 0)
+        assert_identical(oracle.validate(SNAPSHOT, INPUTS), engine.validate(SNAPSHOT, INPUTS))
+        assert engine.stats.entities_recomputed["collect"] > recomputed, step
+    # Two snapshot epochs in a row on the same object do replay.
+    recomputed = engine.stats.entities_recomputed["collect"]
+    assert_identical(oracle.validate(SNAPSHOT, INPUTS), engine.validate(SNAPSHOT, INPUTS))
+    assert engine.stats.entities_recomputed["collect"] == recomputed
 
 
 def test_reset_after_a_raised_epoch():
@@ -315,24 +315,25 @@ def test_reset_after_a_raised_epoch():
     rows[tx][3] = (("sequence", 1), ("timestamp", "not a number"), ("window_s", 5.0))
     poisoned = seal(rows)
     clean = seal(base_rows())
-    with ValidationEngine(TOPOLOGY, backend="python") as oracle, ValidationEngine(
+    oracle = ValidationEngine(TOPOLOGY, backend="python")
+    engine = ValidationEngine(
         TOPOLOGY, backend="vector"
-    ) as engine:
-        expected = oracle.validate_events(clean, TS, INPUTS)
-        assert_identical(expected, engine.validate_events(clean, TS, INPUTS))
-        with pytest.raises(TypeError):
-            oracle.validate_events(poisoned, TS, INPUTS)
-        with pytest.raises(TypeError):
-            engine.validate_events(poisoned, TS, INPUTS)
-        validator = next(iter(engine._validators.values()))
-        assert not validator._primed
-        reused = engine.stats.total_entities_reused
-        assert_identical(expected, engine.validate_events(clean, TS, INPUTS))
-        # Primed from scratch: only the collect stage's cleared rows count
-        # as reused on a priming epoch.
-        assert engine.stats.total_entities_reused - reused == (
-            validator._pack_total - validator._pack_recomputed
-        )
+    )
+    expected = oracle.validate_events(clean, TS, INPUTS)
+    assert_identical(expected, engine.validate_events(clean, TS, INPUTS))
+    with pytest.raises(TypeError):
+        oracle.validate_events(poisoned, TS, INPUTS)
+    with pytest.raises(TypeError):
+        engine.validate_events(poisoned, TS, INPUTS)
+    validator = next(iter(engine._validators.values()))
+    assert not validator._primed
+    reused = engine.stats.total_entities_reused
+    assert_identical(expected, engine.validate_events(clean, TS, INPUTS))
+    # Primed from scratch: only the collect stage's cleared rows count
+    # as reused on a priming epoch.
+    assert engine.stats.total_entities_reused - reused == (
+        validator._pack_total - validator._pack_recomputed
+    )
 
 
 def test_which_crash_surfaces_follows_seal_order_not_slot_order():
@@ -369,26 +370,26 @@ def test_path_index_is_bounded_under_a_flood_of_junk_paths():
     bound = (1 + index.OUTSIDE_FACTOR) * index.size
     clean = base_rows()
     router = clean[0][0]
-    with engine, ValidationEngine(TOPOLOGY, backend="python") as oracle:
-        expected = engine.validate_events(seal(clean), TS, INPUTS)
-        sent = 0
-        for epoch in range(10):
-            junk = [
-                [router, SignalPath(SignalKind.DRAIN, f"ghost-{epoch}-{i}").render(), False, ()]
-                for i in range(index.size)
-            ]
-            sent += len(junk)
-            events = seal(clean + junk)
-            got = engine.validate_events(events, TS, INPUTS)
-            assert len(index) <= bound
-            assert_identical(expected, got)
-            if epoch in (0, 9):  # before and after the index stops remembering
-                assert_identical(oracle.validate_events(events, TS, INPUTS), got)
-        assert sent == 10 * index.size
-        assert len(index._outside) == index.OUTSIDE_FACTOR * index.size  # quota full
-        # Paths past the bound are decoded each time, not dropped.
-        assert validator._pack_events(events, TS)
-        assert validator._pack_total == len(clean_entities()) + index.size
+    oracle = ValidationEngine(TOPOLOGY, backend="python")
+    expected = engine.validate_events(seal(clean), TS, INPUTS)
+    sent = 0
+    for epoch in range(10):
+        junk = [
+            [router, SignalPath(SignalKind.DRAIN, f"ghost-{epoch}-{i}").render(), False, ()]
+            for i in range(index.size)
+        ]
+        sent += len(junk)
+        events = seal(clean + junk)
+        got = engine.validate_events(events, TS, INPUTS)
+        assert len(index) <= bound
+        assert_identical(expected, got)
+        if epoch in (0, 9):  # before and after the index stops remembering
+            assert_identical(oracle.validate_events(events, TS, INPUTS), got)
+    assert sent == 10 * index.size
+    assert len(index._outside) == index.OUTSIDE_FACTOR * index.size  # quota full
+    # Paths past the bound are decoded each time, not dropped.
+    assert validator._pack_events(events, TS)
+    assert validator._pack_total == len(clean_entities()) + index.size
 
 
 def clean_entities():

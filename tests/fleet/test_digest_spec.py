@@ -24,13 +24,13 @@ def _epoch_and_report(seed=3):
     from repro.engine import ValidationEngine
 
     assembler = EpochAssembler(list(feeds), lateness_s=1.0)
-    with ValidationEngine(world.topology, config=world.hodor_config) as engine:
-        result = StreamPipeline(
-            list(feeds.values()),
-            assembler,
-            engine,
-            inputs_for={0.0: outcome.inputs},
-        ).run()
+    engine = ValidationEngine(world.topology, config=world.hodor_config)
+    result = StreamPipeline(
+        list(feeds.values()),
+        assembler,
+        engine,
+        inputs_for={0.0: outcome.inputs},
+    ).run()
     return result.epochs[0], result.reports[0]
 
 

@@ -13,6 +13,7 @@ import pytest
 from repro.engine import ValidationEngine
 from repro.fuzz import CaseGenerator
 from repro.stream import EpochAssembler, Perturbations, StreamPipeline, make_feeds
+from repro.stream.fold import EventFolder
 
 SEED = 11
 
@@ -36,24 +37,30 @@ def _stream(spec, epochs, inputs_by_ts, perturb, extra_routers=()):
     assembler = EpochAssembler(
         list(feeds) + list(extra_routers), lateness_s=1.0
     )
-    with ValidationEngine(spec.topology, config=spec.hodor_config) as engine:
-        pipeline = StreamPipeline(
-            list(feeds.values()), assembler, engine, inputs_for=inputs_by_ts
-        )
-        return pipeline.run()
+    engine = ValidationEngine(spec.topology, config=spec.hodor_config)
+    pipeline = StreamPipeline(
+        list(feeds.values()), assembler, engine, inputs_for=inputs_by_ts
+    )
+    return pipeline.run()
+
+
+def _folded(epoch):
+    """The snapshot a sealed epoch's event buffer describes."""
+    return EventFolder().fold(epoch.events, epoch.timestamp)
 
 
 def _assert_no_fabrication(sealed, source_by_ts):
     """Sealed snapshots only ever contain source data or holes."""
     for epoch in sealed:
         source = source_by_ts[epoch.timestamp]
-        for key, got in epoch.snapshot.counters.items():
+        counters = _folded(epoch).counters
+        for key, got in counters.items():
             assert key in source.counters, f"invented interface {key}"
             want = source.counters[key]
             assert got.rx_rate is None or got.rx_rate == want.rx_rate, key
             assert got.tx_rate is None or got.tx_rate == want.tx_rate, key
         missing = set(epoch.missing)
-        for node, _peer in epoch.snapshot.counters:
+        for node, _peer in counters:
             assert node not in missing, (
                 f"missing router {node} has fabricated counters"
             )
@@ -88,7 +95,7 @@ class TestFullyDuplicatedStreams:
         source_by_ts = dict(epochs)
         assert len(result.epochs) == len(epochs)
         for epoch in result.epochs:
-            assert epoch.snapshot == source_by_ts[epoch.timestamp]
+            assert _folded(epoch) == source_by_ts[epoch.timestamp]
 
 
 class TestSilentRouter:
@@ -108,11 +115,10 @@ class TestSilentRouter:
         assert result.complete_epochs == 0
         source_by_ts = dict(epochs)
         for epoch in result.epochs:
+            counters = _folded(epoch).counters
             assert "ghost-router" in epoch.missing
-            assert not any(
-                node == "ghost-router" for node, _peer in epoch.snapshot.counters
-            )
+            assert not any(node == "ghost-router" for node, _peer in counters)
             # Everything the real routers reported still assembles
             # exactly; only the silent router is a hole.
-            for key, got in epoch.snapshot.counters.items():
+            for key, got in counters.items():
                 assert got == source_by_ts[epoch.timestamp].counters[key]

@@ -22,8 +22,8 @@ from tests.engine.conftest import random_epoch
 
 def _report(corrupted=False, seed=0):
     topology, snapshot, inputs = random_epoch(8, seed, corrupted=corrupted)
-    with ValidationEngine(topology) as engine:
-        return engine.validate(snapshot, inputs), engine.stats
+    engine = ValidationEngine(topology)
+    return engine.validate(snapshot, inputs), engine.stats
 
 
 class TestRecord:
@@ -184,9 +184,9 @@ class TestEngineWriteThrough:
         with HistorySink(
             HistoryConfig(path=path, deterministic=True), metrics=registry
         ) as sink:
-            with ValidationEngine(topology, metrics=registry, history=sink) as engine:
-                engine.validate(snapshot, inputs)
-                engine.validate(snapshot, inputs)
+            engine = ValidationEngine(topology, metrics=registry, history=sink)
+            engine.validate(snapshot, inputs)
+            engine.validate(snapshot, inputs)
             rows = sink.store.epochs()
         assert [row.source for row in rows] == ["engine", "engine"]
         assert all(row.sealed_by == "batch" for row in rows)
@@ -197,11 +197,11 @@ class TestEngineWriteThrough:
         with HistorySink(
             HistoryConfig(path=str(tmp_path / "h.db"), deterministic=True)
         ) as sink:
-            with ValidationEngine(
+            engine = ValidationEngine(
                 topology, backend="vector", history=sink
-            ) as engine:
-                engine.validate(snapshot, inputs)
-                engine.validate(snapshot, inputs)  # cache-hit fast path
+            )
+            engine.validate(snapshot, inputs)
+            engine.validate(snapshot, inputs)  # cache-hit fast path
             rows = sink.store.epochs()
         assert [row.backend for row in rows] == ["vector", "vector"]
 
@@ -216,9 +216,9 @@ class TestByteReproducibility:
                     path=path, deterministic=True, counter_snapshot_every=2
                 )
             ) as sink:
-                with ValidationEngine(topology, history=sink) as engine:
-                    for _ in range(4):
-                        engine.validate(snapshot, inputs)
+                engine = ValidationEngine(topology, history=sink)
+                for _ in range(4):
+                    engine.validate(snapshot, inputs)
         with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
             assert a.read() == b.read()
 

@@ -7,10 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stream import EpochAssembler, UpdateEvent, reporting_routers, router_updates
+from repro.stream.fold import EventFolder
 from repro.telemetry.counters import CounterReading
 from repro.telemetry.snapshot import NetworkSnapshot
 
 from tests.engine.conftest import random_epoch
+
+
+def _folded(epoch):
+    """The snapshot a sealed epoch's event buffer describes."""
+    return EventFolder().fold(epoch.events, epoch.timestamp)
 
 
 def _event(router, epoch_ts, uid, emit_ts=None, node=None):
@@ -90,11 +96,11 @@ class TestDedupeAndLateness:
         assembler.offer(_event("a", 0.0, 1))
         sealed = assembler.offer(_event("b", 0.0, 1, emit_ts=5.0))
         assert [epoch.timestamp for epoch in sealed] == [0.0]
-        before = dict(sealed[0].snapshot.drains)
+        before = dict(_folded(sealed[0]).drains)
         late = assembler.offer(_event("a", 0.0, 99, emit_ts=9.0))
         assert late == []
         assert assembler.late_dropped == 1
-        assert sealed[0].snapshot.drains == before  # history untouched
+        assert _folded(sealed[0]).drains == before  # history untouched
 
     def test_negative_lateness_rejected(self):
         with pytest.raises(ValueError):
@@ -145,7 +151,7 @@ class TestDrainAndMetrics:
             backward.offer(event)
         (left,) = forward.drain()
         (right,) = backward.drain()
-        assert left.snapshot.drains == right.snapshot.drains
+        assert _folded(left).drains == _folded(right).drains
         assert left.coverage == right.coverage
 
 
@@ -157,7 +163,7 @@ def _assemble(events, snapshot, lateness_s=1.0):
         sealed.extend(assembler.offer(event))
     sealed.extend(assembler.drain())
     assert len(sealed) == 1
-    return sealed[0].snapshot
+    return _folded(sealed[0])
 
 
 def _events_for(snapshot):
@@ -235,7 +241,7 @@ class TestAssemblerStreamInvariance:
         (epoch,) = sealed
         assert epoch.duplicates == len(events) * 2
         assert epoch.updates == len(events)
-        assert epoch.snapshot == target
+        assert _folded(epoch) == target
 
 
 class _ReferenceAssembler:
@@ -313,7 +319,7 @@ class TestAgainstReference:
         epochs first seen after the watermark has already passed them
         -- seals the same epochs, in the same order, with the same
         events in the same order as recomputing everything per call."""
-        assembler = EpochAssembler(_ROUTERS, lateness_s=lateness_s, build_snapshots=False)
+        assembler = EpochAssembler(_ROUTERS, lateness_s=lateness_s)
         reference = _ReferenceAssembler(_ROUTERS, lateness_s)
         for op in ops:
             if op[0] == "offer":
@@ -345,7 +351,7 @@ class TestAgainstReference:
 
 class TestRepr:
     def test_sealed_epoch_repr_is_a_summary_not_a_dump(self):
-        assembler = EpochAssembler(["a"], lateness_s=1.0, build_snapshots=False)
+        assembler = EpochAssembler(["a"], lateness_s=1.0)
         for uid in range(10_000):
             assembler.offer(_event("a", 0.0, uid))
         (epoch,) = assembler.drain()

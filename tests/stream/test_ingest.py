@@ -48,15 +48,15 @@ def _timeline(size=6, seed=0, count=3, spacing=10.0):
 def _run(topology, epochs, inputs, perturb=None, seed=0, config=None, lateness=1.0):
     feeds = make_feeds(epochs, perturb=perturb, seed=seed)
     assembler = EpochAssembler(list(feeds), lateness_s=lateness)
-    with ValidationEngine(topology) as engine:
-        pipeline = StreamPipeline(
-            list(feeds.values()),
-            assembler,
-            engine,
-            inputs_for=lambda _ts: inputs,
-            config=config,
-        )
-        return pipeline.run()
+    engine = ValidationEngine(topology)
+    pipeline = StreamPipeline(
+        list(feeds.values()),
+        assembler,
+        engine,
+        inputs_for=lambda _ts: inputs,
+        config=config,
+    )
+    return pipeline.run()
 
 
 class _AlwaysFailingFeed:
@@ -98,10 +98,10 @@ class TestHappyPath:
         feeds = make_feeds(epochs)
         assembler = EpochAssembler(list(feeds))
         by_ts = {ts: inputs for ts, _snapshot in epochs}
-        with ValidationEngine(topology) as engine:
-            result = StreamPipeline(
-                list(feeds.values()), assembler, engine, inputs_for=by_ts
-            ).run()
+        engine = ValidationEngine(topology)
+        result = StreamPipeline(
+            list(feeds.values()), assembler, engine, inputs_for=by_ts
+        ).run()
         assert len(result.reports) == 3
 
 
@@ -123,15 +123,15 @@ class TestRetryAndAbandon:
         dead = _AlwaysFailingFeed("zz-dead-router")
         assembler = EpochAssembler(list(feeds) + [dead.router], lateness_s=1.0)
         config = IngestConfig(max_retries=2, backoff_base_s=0.0001)
-        with ValidationEngine(topology) as engine:
-            pipeline = StreamPipeline(
-                list(feeds.values()) + [dead],
-                assembler,
-                engine,
-                inputs_for=lambda _ts: inputs,
-                config=config,
-            )
-            result = pipeline.run()
+        engine = ValidationEngine(topology)
+        pipeline = StreamPipeline(
+            list(feeds.values()) + [dead],
+            assembler,
+            engine,
+            inputs_for=lambda _ts: inputs,
+            config=config,
+        )
+        result = pipeline.run()
         assert result.abandoned == (dead.router,)
         assert result.retries == config.max_retries + 1
         assert len(result.epochs) == 3  # sealing survived the dead feed
@@ -163,11 +163,11 @@ def _run_mixed(stall_on=(), config=None, perturb=None, seed=0):
     feeds = list(make_feeds(epochs, perturb=perturb, seed=seed).values())
     feeds[0] = _AsyncFeed(feeds[0], stall_on)
     assembler = EpochAssembler([feed.router for feed in feeds], lateness_s=1.0)
-    with ValidationEngine(topology) as engine:
-        pipeline = StreamPipeline(
-            feeds, assembler, engine, inputs_for=lambda _ts: inputs, config=config
-        )
-        return pipeline.run(), feeds[0]
+    engine = ValidationEngine(topology)
+    pipeline = StreamPipeline(
+        feeds, assembler, engine, inputs_for=lambda _ts: inputs, config=config
+    )
+    return pipeline.run(), feeds[0]
 
 
 class TestMixedSyncAndAsyncFeeds:
@@ -212,14 +212,14 @@ class TestMixedSyncAndAsyncFeeds:
         topology, epochs, inputs = _timeline()
         feeds = list(make_feeds(epochs).values())
         assembler = EpochAssembler([f.router for f in feeds] + ["zz"], lateness_s=1.0)
-        with ValidationEngine(topology) as engine:
-            result = StreamPipeline(
-                feeds + [_AlwaysFailingFeed("zz")],
-                assembler,
-                engine,
-                inputs_for=lambda _ts: inputs,
-                config=IngestConfig(max_retries=3, backoff_base_s=0.5),
-            ).run()
+        engine = ValidationEngine(topology)
+        result = StreamPipeline(
+            feeds + [_AlwaysFailingFeed("zz")],
+            assembler,
+            engine,
+            inputs_for=lambda _ts: inputs,
+            config=IngestConfig(max_retries=3, backoff_base_s=0.5),
+        ).run()
         assert result.abandoned == ("zz",)
         assert delays == [0.5, 1.0, 2.0]
 
@@ -336,7 +336,7 @@ class _EmptyFeed:
 
 
 class _NullEngine:
-    def validate(self, snapshot, inputs, topology=None):
+    def validate_events(self, events, timestamp, inputs, topology=None):
         return object()
 
 
@@ -386,7 +386,7 @@ class TestCollectorPause:
         def __init__(self):
             self.enabled_during_validate = []
 
-        def validate(self, snapshot, inputs, topology=None):
+        def validate_events(self, events, timestamp, inputs, topology=None):
             self.enabled_during_validate.append(gc.isenabled())
             return object()
 
@@ -417,7 +417,7 @@ class TestCollectorPause:
 
     def test_restored_when_validation_raises(self):
         class _Boom(self._GcSpyEngine):
-            def validate(self, snapshot, inputs, topology=None):
+            def validate_events(self, events, timestamp, inputs, topology=None):
                 raise RuntimeError("engine down")
 
         with pytest.raises(RuntimeError, match="engine down"):
@@ -470,16 +470,16 @@ class TestMetrics:
         feeds = make_feeds(epochs)
         assembler = EpochAssembler(list(feeds))
         samples = []
-        with ValidationEngine(topology) as engine:
-            pipeline = StreamPipeline(
-                list(feeds.values()),
-                assembler,
-                engine,
-                inputs_for=lambda _ts: inputs,
-                config=IngestConfig(queue_size=4),
-            )
-            monkeypatch.setattr(pipeline._queue_gauge, "set", samples.append)
-            result = pipeline.run()
+        engine = ValidationEngine(topology)
+        pipeline = StreamPipeline(
+            list(feeds.values()),
+            assembler,
+            engine,
+            inputs_for=lambda _ts: inputs,
+            config=IngestConfig(queue_size=4),
+        )
+        monkeypatch.setattr(pipeline._queue_gauge, "set", samples.append)
+        result = pipeline.run()
         assert set(samples) == {0.0, 4.0}
         assert samples[-1] == 0.0
         assert len(samples) < result.updates  # not once per delivery
@@ -488,11 +488,11 @@ class TestMetrics:
         topology, epochs, inputs = _timeline()
         feeds = make_feeds(epochs)
         assembler = EpochAssembler(list(feeds))
-        with ValidationEngine(topology) as engine:
-            pipeline = StreamPipeline(
-                list(feeds.values()), assembler, engine, inputs_for=lambda _ts: inputs
-            )
-            pipeline.run()
+        engine = ValidationEngine(topology)
+        pipeline = StreamPipeline(
+            list(feeds.values()), assembler, engine, inputs_for=lambda _ts: inputs
+        )
+        pipeline.run()
         rendered = pipeline.metrics.render()
         for family in (
             "stream_queue_depth",
