@@ -114,15 +114,17 @@ def test_stream_soak_python_vs_vector(benchmark, write_result, results_dir):
     The identical shape on both, so the p50 moves are attributable to
     the engine alone.
     """
-    from repro.stream.feed import Perturbations
-    from repro.stream.soak import SoakConfig, run_soak
+    from repro.fleet.scenario import run_soak
+    from repro.fleet.spec import TenantSpec
 
-    perturb = Perturbations(reorder=REORDER, drop=DROP, duplicate=DUPLICATE)
-    shape = dict(nodes=SIZES[-1], epochs=EPOCHS, perturb=perturb)
-    vector = benchmark.pedantic(
-        lambda: run_soak(SoakConfig(backend="vector", **shape)), rounds=1, iterations=1
+    shape = dict(
+        tenant="soak", nodes=SIZES[-1], epochs=EPOCHS,
+        reorder=REORDER, drop=DROP, duplicate=DUPLICATE,
     )
-    python = run_soak(SoakConfig(backend="python", **shape))
+    vector = benchmark.pedantic(
+        lambda: run_soak(TenantSpec(backend="vector", **shape)), rounds=1, iterations=1
+    )
+    python = run_soak(TenantSpec(backend="python", **shape))
 
     for result, backend in ((python, "python"), (vector, "vector")):
         assert result.epochs_sealed == EPOCHS, (

@@ -296,36 +296,44 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     registry = None
-    if args.metrics_prom:
+    # A soak reads its delivery counters back from its registry.
+    if args.metrics_prom or args.soak:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
 
     if args.soak:
-        from repro.stream import SoakConfig, run_soak
+        from repro.fleet.scenario import run_soak
+        from repro.fleet.spec import TenantSpec
 
         try:
-            result = run_soak(
-                SoakConfig(
-                    nodes=args.nodes,
-                    epochs=args.epochs,
-                    seed=args.seed,
-                    perturb=perturb,
-                    backend=args.backend,
-                    lateness_s=args.lateness,
-                    queue_size=args.queue_size,
-                    backpressure=args.backpressure,
-                    deterministic=not args.concurrent,
-                    history_path=args.history or None,
-                    history_deterministic=not args.history_live,
-                    alert_rules=tuple(args.alert),
-                    alert_jsonl=args.alerts_jsonl or None,
-                ),
-                metrics=registry,
+            spec = TenantSpec(
+                tenant="soak",
+                nodes=args.nodes,
+                epochs=args.epochs,
+                seed=args.seed,
+                backend=args.backend,
+                lateness_s=args.lateness,
+                reorder=args.reorder,
+                drop=args.drop,
+                duplicate=args.duplicate,
+                delay=args.delay,
+                fail=args.fail,
             )
+            ingest = IngestConfig(
+                queue_size=args.queue_size,
+                backpressure=args.backpressure,
+                deterministic=not args.concurrent,
+            )
+            history = _history_sink(args, registry)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
+        try:
+            result = run_soak(spec, history=history, ingest=ingest, metrics=registry)
+        finally:
+            if history is not None:
+                history.close()
         if args.metrics_prom:
             result.metrics.write(args.metrics_prom)
             print(f"wrote {args.metrics_prom}", file=sys.stderr)

@@ -400,7 +400,7 @@ class ScaleStudy:
         full stack -- perturbed per-router feeds, bounded-queue ingest,
         watermark assembly, live engine -- and reports sustained
         throughput plus assembly-latency percentiles (see
-        :func:`repro.stream.soak.run_soak`).  One pass per size: a soak
+        :func:`repro.fleet.scenario.run_soak`).  One pass per size: a soak
         is its own repetition.
 
         Args:
@@ -415,27 +415,26 @@ class ScaleStudy:
                 CI archives a real artifact.
 
         Returns:
-            One :class:`repro.stream.soak.SoakResult` per size.
+            One :class:`repro.fleet.scenario.SoakResult` per size.
         """
-        from repro.stream import Perturbations, SoakConfig, run_soak
+        from repro.fleet.scenario import run_soak
+        from repro.fleet.spec import TenantSpec
 
-        if epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {epochs}")
-        rows = []
-        for size in sizes:
-            rows.append(
-                run_soak(
-                    SoakConfig(
-                        nodes=size,
-                        epochs=epochs,
-                        seed=self._seed,
-                        churn=churn,
-                        perturb=Perturbations(
-                            reorder=reorder, drop=drop, duplicate=duplicate
-                        ),
-                    )
+        rows = [
+            run_soak(
+                TenantSpec(
+                    tenant="soak",
+                    nodes=size,
+                    epochs=epochs,
+                    seed=self._seed,
+                    churn=churn,
+                    reorder=reorder,
+                    drop=drop,
+                    duplicate=duplicate,
                 )
             )
+            for size in sizes
+        ]
         if export_dir is not None:
             rows[-1].metrics.write(f"{export_dir}/E15_metrics.prom")
         return rows

@@ -4,40 +4,53 @@ Workers never receive topologies or feeds over the wire: a
 :class:`~repro.fleet.spec.TenantSpec` is a seed-complete recipe, and
 :func:`build_workload` rebuilds the identical workload -- topology,
 demand, churned epoch timeline, controller inputs -- wherever it runs.
-A synthetic tenant's workload is :func:`synthetic_workload`, the one
-recipe the soak driver (:func:`repro.stream.soak.run_soak`) shares.
-:func:`run_tenant` then drives that workload through the real
+A synthetic tenant's workload is :func:`synthetic_workload`.
+:func:`run_tenant_async` then drives that workload through the real
 streaming stack (:class:`~repro.stream.ingest.StreamPipeline`) exactly
-as a standalone deployment would.
+as a standalone deployment would.  A soak is a one-tenant run:
+:func:`run_soak` is :func:`run_tenant_async` plus the throughput and
+latency figures E15/E18 report.
 
 That sharing is the differential's backbone: the in-fleet worker and
 the standalone comparator call the *same* function, so any divergence
 between fleet and standalone digests is a supervisor/worker bug by
 construction, not a fixture mismatch.
 
-Heavy dependencies import lazily inside :func:`synthetic_workload` so
-``import repro.fleet`` stays cheap (the CLI lists subcommands without
-paying for the simulator).
+The simulator and control plane import lazily inside
+:func:`synthetic_workload`, so ``import repro.fleet`` does not pay for
+them.
 """
 
 from __future__ import annotations
 
+import asyncio
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.engine import ValidationEngine, engine_registry
 from repro.fleet.digest import EpochDigest, digest_report
 from repro.fleet.spec import TenantSpec
+from repro.history.analytics import percentile
+from repro.history.sink import HistoryConfig, HistorySink
 from repro.net.topology import EXTERNAL_PEER
+from repro.obs.clock import monotonic_clock
 from repro.obs.metrics import MetricsRegistry
+from repro.stream.assembler import EpochAssembler
+from repro.stream.feed import make_feeds
+from repro.stream.ingest import IngestConfig, StreamPipeline
 from repro.telemetry.snapshot import NetworkSnapshot
 
 __all__ = [
+    "SoakResult",
     "TenantRun",
     "TenantWorkload",
     "build_workload",
     "churn_snapshot",
+    "run_soak",
     "run_tenant",
+    "run_stored_tenant",
+    "run_tenant_async",
     "synthetic_workload",
 ]
 
@@ -66,6 +79,11 @@ class TenantRun:
         latencies_s: Seal-to-verdict seconds per validated epoch.
         exposition: The tenant registry's Prometheus text exposition
             (``stream_*`` + engine families), ready for fleet rollup.
+        nodes / links: Topology shape.
+        wall_s: Real seconds the pipeline ran (workload build
+            excluded).
+        assembly_latency_s: First-delivery-to-seal seconds per
+            validated epoch.
         store_path: This tenant's history store file, when written.
     """
 
@@ -79,6 +97,10 @@ class TenantRun:
     duplicates: int
     latencies_s: Tuple[float, ...]
     exposition: str
+    nodes: int
+    links: int
+    wall_s: float
+    assembly_latency_s: Tuple[float, ...]
     store_path: Optional[str] = None
 
     def to_summary(self) -> Dict[str, object]:
@@ -212,8 +234,10 @@ def build_workload(spec: TenantSpec) -> TenantWorkload:
 
 async def run_tenant_async(
     spec: TenantSpec,
-    store_path: Optional[str] = None,
-    deterministic_history: bool = True,
+    *,
+    history: Optional[HistorySink] = None,
+    metrics: Optional[MetricsRegistry] = None,
+    ingest: Optional[IngestConfig] = None,
     gate=None,
     on_digest=None,
 ) -> TenantRun:
@@ -221,38 +245,20 @@ async def run_tenant_async(
 
     Args:
         spec: The tenant recipe.
-        store_path: Per-tenant history store file (written only when
-            both this and ``spec.history`` are set).
-        deterministic_history: Byte-reproducible store writes.
+        history: Optional caller-owned sink every validated epoch is
+            written through to (the caller closes it).
+        metrics: Optional shared registry; a fresh one by default.
+        ingest: Queue/backpressure/delivery-order tuning
+            (``IngestConfig()`` by default).
         gate: Optional admission gate forwarded to the pipeline
             (``gate(epoch) -> bool``; ``False`` sheds the epoch).
         on_digest: Optional callback invoked with each
             :class:`EpochDigest` as its epoch validates -- the worker
             streams these to the supervisor.
     """
-    from repro.engine import ValidationEngine, engine_registry
-    from repro.stream.assembler import EpochAssembler
-    from repro.stream.feed import Perturbations, make_feeds
-    from repro.stream.ingest import IngestConfig, StreamPipeline
-
     workload = build_workload(spec)
-    registry = MetricsRegistry()
-    perturb = None
-    if spec.reorder or spec.drop or spec.duplicate:
-        perturb = Perturbations(
-            reorder=spec.reorder, drop=spec.drop, duplicate=spec.duplicate
-        )
-    feeds = make_feeds(workload.epochs, perturb=perturb, seed=spec.seed)
-
-    sink = None
-    if store_path is not None and spec.history:
-        from repro.history.sink import HistoryConfig, HistorySink
-
-        sink = HistorySink(
-            HistoryConfig(path=store_path, deterministic=deterministic_history),
-            metrics=registry,
-        )
-
+    registry = metrics if metrics is not None else MetricsRegistry()
+    feeds = make_feeds(workload.epochs, perturb=spec.perturbations(), seed=spec.seed)
     digests: List[EpochDigest] = []
 
     def observe(epoch, report, latency_s: float) -> None:
@@ -270,23 +276,21 @@ async def run_tenant_async(
         backend=spec.backend,
         metrics=registry,
     )
-    try:
-        pipeline = StreamPipeline(
-            list(feeds.values()),
-            assembler,
-            engine,
-            inputs_for=workload.inputs_for,
-            config=IngestConfig(queue_size=spec.queue_size, deterministic=True),
-            metrics=registry,
-            history=sink,
-            gate=gate,
-            on_epoch=observe,
-        )
-        result = await pipeline.run_async()
-        engine_registry(engine.stats, registry=registry)
-    finally:
-        if sink is not None:
-            sink.close()
+    pipeline = StreamPipeline(
+        list(feeds.values()),
+        assembler,
+        engine,
+        inputs_for=workload.inputs_for,
+        config=ingest or IngestConfig(),
+        metrics=registry,
+        history=history,
+        gate=gate,
+        on_epoch=observe,
+    )
+    start = monotonic_clock()
+    result = await pipeline.run_async()
+    wall_s = monotonic_clock() - start
+    engine_registry(engine.stats, registry=registry)
 
     return TenantRun(
         tenant=spec.tenant,
@@ -299,30 +303,158 @@ async def run_tenant_async(
         duplicates=result.duplicates,
         latencies_s=tuple(result.epoch_latency_s),
         exposition=registry.render(),
-        store_path=store_path if sink is not None else None,
+        nodes=workload.topology.num_nodes,
+        links=workload.topology.num_links,
+        wall_s=wall_s,
+        assembly_latency_s=tuple(epoch.assembly_latency_s for epoch in result.epochs),
+        store_path=history.config.path if history is not None else None,
     )
 
 
-def run_tenant(
+async def run_stored_tenant(
     spec: TenantSpec,
     store_path: Optional[str] = None,
     deterministic_history: bool = True,
     gate=None,
     on_digest=None,
 ) -> TenantRun:
+    """:func:`run_tenant_async` on the tenant's own registry, writing
+    through to its own store at ``store_path`` when ``spec.history`` is
+    set (closed when the run ends) -- how the fleet worker and
+    :func:`run_tenant` run a tenant."""
+    registry = MetricsRegistry()
+    sink = None
+    if store_path is not None and spec.history:
+        sink = HistorySink(
+            HistoryConfig(path=store_path, deterministic=deterministic_history),
+            metrics=registry,
+        )
+    try:
+        return await run_tenant_async(
+            spec, history=sink, metrics=registry, gate=gate, on_digest=on_digest
+        )
+    finally:
+        if sink is not None:
+            sink.close()
+
+
+def run_tenant(spec: TenantSpec, store_path: Optional[str] = None) -> TenantRun:
     """Standalone entry: run one tenant on a fresh event loop.
 
     This is the comparator half of the in-fleet vs standalone
     differential -- the worker runs the identical coroutine.
     """
-    import asyncio
+    return asyncio.run(run_stored_tenant(spec, store_path))
 
-    return asyncio.run(
-        run_tenant_async(
-            spec,
-            store_path=store_path,
-            deterministic_history=deterministic_history,
-            gate=gate,
-            on_digest=on_digest,
-        )
+
+@dataclass
+class SoakResult:
+    """What one soak run measured.
+
+    Attributes:
+        nodes / links: Topology shape.
+        epochs_streamed: Epochs the run expected to seal.
+        epochs_sealed: Epochs actually sealed and validated (equal to
+            ``epochs_streamed`` unless the pipeline wedged -- the E15
+            acceptance bar).
+        updates: Deliveries offered to the assembler.
+        wall_s: Real seconds for the whole pipeline run.
+        updates_per_s: Sustained delivery throughput.
+        epochs_per_s: Sustained validated-epoch throughput.
+        p50_ms / p95_ms / p99_ms: Assembly-latency percentiles
+            (first delivery to seal, real milliseconds).
+        late_dropped: Deliveries that missed their epoch's seal.
+        duplicates: Duplicate deliveries suppressed.
+        feed_dropped: Deliveries the feeds dropped at the source.
+        backpressure_dropped: Events shed by drop-oldest.
+        retries: Feed delivery retries.
+        abandoned: Feeds abandoned after exhausting retries.
+        complete_epochs / partial_epochs: Coverage split.
+        metrics: The run's registry (``stream_*`` + engine families),
+            ready for Prometheus exposition.
+        history_epochs: Epoch rows retained in the history store at
+            run end (post-retention; 0 with no history sink).
+        history_bytes: Store file bytes before the final compaction.
+        history_bytes_compacted: Store file bytes after the final
+            compaction (checkpoint + VACUUM rewrite).
+        history_compaction_deleted: Epoch rows the final compaction's
+            retention sweep deleted.
+        alerts_fired: Alerts appended to the store ledger.
+    """
+
+    nodes: int
+    links: int
+    epochs_streamed: int
+    epochs_sealed: int
+    updates: int
+    wall_s: float
+    updates_per_s: float
+    epochs_per_s: float
+    p50_ms: float
+    p95_ms: float
+    p99_ms: float
+    late_dropped: int
+    duplicates: int
+    feed_dropped: int
+    backpressure_dropped: int
+    retries: int
+    abandoned: int
+    complete_epochs: int
+    partial_epochs: int
+    metrics: MetricsRegistry = field(repr=False, default_factory=MetricsRegistry)
+    history_epochs: int = 0
+    history_bytes: int = 0
+    history_bytes_compacted: int = 0
+    history_compaction_deleted: int = 0
+    alerts_fired: int = 0
+
+
+def run_soak(
+    spec: TenantSpec,
+    history: Optional[HistorySink] = None,
+    ingest: Optional[IngestConfig] = None,
+    metrics: Optional[MetricsRegistry] = None,
+) -> SoakResult:
+    """Run one tenant as a soak (E15/E18) and measure it.
+
+    The delivery counters are read back from ``metrics``, so pass a
+    fresh registry (or none).  A ``history`` sink is compacted when the
+    run ends; the caller still owns and closes it.
+    """
+    registry = metrics if metrics is not None else MetricsRegistry()
+    run = asyncio.run(
+        run_tenant_async(spec, history=history, metrics=registry, ingest=ingest)
     )
+    seal_ms = [1000.0 * latency for latency in run.assembly_latency_s] or [0.0]
+    wall_s = run.wall_s
+    complete = sum(digest.complete for digest in run.digests)
+    result = SoakResult(
+        nodes=run.nodes,
+        links=run.links,
+        epochs_streamed=run.epochs_streamed,
+        epochs_sealed=run.epochs_sealed,
+        updates=run.updates,
+        wall_s=wall_s,
+        updates_per_s=run.updates / wall_s if wall_s > 0.0 else 0.0,
+        epochs_per_s=run.epochs_sealed / wall_s if wall_s > 0.0 else 0.0,
+        p50_ms=percentile(seal_ms, 50),
+        p95_ms=percentile(seal_ms, 95),
+        p99_ms=percentile(seal_ms, 99),
+        late_dropped=run.late_dropped,
+        duplicates=run.duplicates,
+        feed_dropped=int(registry.get("stream_feed_dropped_total").value),
+        backpressure_dropped=int(registry.get("stream_backpressure_dropped_total").value),
+        retries=int(registry.get("stream_feed_retries_total").value),
+        abandoned=int(registry.get("stream_feeds_abandoned_total").value),
+        complete_epochs=complete,
+        partial_epochs=run.epochs_sealed - complete,
+        metrics=registry,
+    )
+    if history is not None:
+        compaction = history.compact()
+        result.history_epochs = history.store.epoch_count()
+        result.history_bytes = compaction.bytes_before
+        result.history_bytes_compacted = compaction.bytes_after
+        result.history_compaction_deleted = compaction.epochs_deleted
+        result.alerts_fired = len(history.store.alerts())
+    return result

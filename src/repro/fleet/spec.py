@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.fleet.admission import AdmissionPolicy
+from repro.stream.feed import Perturbations
 
 __all__ = ["FleetConfig", "TenantSpec"]
 
@@ -41,8 +42,8 @@ class TenantSpec:
             (synthetic workload only).
         epoch_spacing_s: Virtual seconds between collection instants.
         lateness_s: Assembler lateness window (virtual seconds).
-        reorder / drop / duplicate: Feed perturbation probabilities.
-        queue_size: Ingest queue bound.
+        reorder / drop / duplicate / delay / fail: Feed perturbation
+            probabilities (see :class:`~repro.stream.feed.Perturbations`).
         history: Write validated epochs through to this tenant's
             store file (under the fleet's ``store_dir``).
     """
@@ -59,7 +60,8 @@ class TenantSpec:
     reorder: float = 0.0
     drop: float = 0.0
     duplicate: float = 0.0
-    queue_size: int = 256
+    delay: float = 0.0
+    fail: float = 0.0
     history: bool = False
 
     def __post_init__(self) -> None:
@@ -75,6 +77,17 @@ class TenantSpec:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.nodes < 2:
             raise ValueError(f"nodes must be >= 2, got {self.nodes}")
+        self.perturbations()  # raises on a probability outside [0, 1]
+
+    def perturbations(self) -> Perturbations:
+        """The feed perturbations this tenant's deliveries suffer."""
+        return Perturbations(
+            reorder=self.reorder,
+            duplicate=self.duplicate,
+            delay=self.delay,
+            drop=self.drop,
+            fail=self.fail,
+        )
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.fleet.scenario import run_tenant_async
+from repro.fleet.scenario import run_stored_tenant
 from repro.fleet.spec import TenantSpec, tenant_store_path
 
 __all__ = ["worker_main"]
@@ -98,7 +98,7 @@ async def _run_one(state: _WorkerState, spec: TenantSpec) -> None:
     status = "done"
     summary = None
     try:
-        run = await run_tenant_async(
+        run = await run_stored_tenant(
             spec,
             store_path=store_path,
             deterministic_history=state.deterministic_history,

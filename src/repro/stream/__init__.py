@@ -17,7 +17,6 @@ from repro.stream.events import (
 )
 from repro.stream.feed import FeedStats, Perturbations, RouterFeed, make_feeds
 from repro.stream.ingest import IngestConfig, StreamPipeline, StreamResult
-from repro.stream.soak import SoakConfig, SoakResult, run_soak
 
 __all__ = [
     "AssembledEpoch",
@@ -27,8 +26,6 @@ __all__ = [
     "IngestConfig",
     "Perturbations",
     "RouterFeed",
-    "SoakConfig",
-    "SoakResult",
     "StreamPipeline",
     "StreamResult",
     "UpdateEvent",
@@ -36,6 +33,5 @@ __all__ = [
     "make_feeds",
     "reporting_routers",
     "router_updates",
-    "run_soak",
     "updates_by_router",
 ]

@@ -66,7 +66,7 @@ import contextlib
 import gc
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.obs.clock import event_loop_time
 from repro.obs.metrics import MetricsRegistry
@@ -230,7 +230,6 @@ class StreamPipeline:
             latency is the pipeline's natural backpressure source.
         inputs_for: Controller inputs per epoch -- a callable taking
             the epoch timestamp, or a mapping keyed by it.
-        topology: Optional per-run reference-topology override.
         config: Queue/backpressure/retry tuning.
         metrics: Optional shared registry (pass the same one given to
             the assembler and engine for a single exposition).
@@ -260,7 +259,6 @@ class StreamPipeline:
         assembler: EpochAssembler,
         engine,
         inputs_for,
-        topology=None,
         config: Optional[IngestConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
@@ -277,7 +275,6 @@ class StreamPipeline:
         self._assembler = assembler
         self._engine = engine
         self._inputs_for = self._as_callable(inputs_for)
-        self._topology = topology
         self.config = config or IngestConfig()
         self.metrics = metrics if metrics is not None else assembler.metrics
         self.tracer = tracer if tracer is not None else NullTracer()
@@ -477,9 +474,7 @@ class StreamPipeline:
             complete=epoch.complete,
             sealed_by=epoch.sealed_by,
         ) as span, _collector_paused():
-            report = self._engine.validate_events(
-                epoch.events, epoch.timestamp, inputs, topology=self._topology
-            )
+            report = self._engine.validate_events(epoch.events, epoch.timestamp, inputs)
             span.annotate(updates=epoch.updates, missing=len(epoch.missing))
             latency = event_loop_time() - sealed_at
         result.epochs.append(epoch)
@@ -572,8 +567,3 @@ class StreamPipeline:
     def run(self) -> StreamResult:
         """Run the pipeline on a fresh event loop (CLI/test entry)."""
         return asyncio.run(self.run_async())
-
-
-def feed_drop_counts(feeds: Sequence[RouterFeed]) -> Dict[str, int]:
-    """Source-side drop counts per router (soak reporting helper)."""
-    return {feed.router: feed.stats.dropped for feed in feeds}

@@ -85,6 +85,15 @@ class TestSpec:
         with pytest.raises(ValueError, match="nodes"):
             TenantSpec(tenant="t0", nodes=1)
 
+    @pytest.mark.parametrize(
+        "field,value", [("reorder", 1.5), ("drop", -0.1), ("delay", 2.0), ("fail", -1.0)]
+    )
+    def test_spec_rejects_perturbation_outside_unit_interval(self, field, value):
+        # Rejected at construction, before the spec is dispatched to a
+        # worker where it would only fail later as a tenant error.
+        with pytest.raises(ValueError, match=f"{field} must be a probability"):
+            TenantSpec(tenant="t", **{field: value})
+
     def test_fleet_config_validation(self):
         with pytest.raises(ValueError, match="workers"):
             FleetConfig(workers=0)

@@ -11,13 +11,12 @@ import random
 
 import pytest
 
-from repro.fleet import run_tenant
-from repro.fleet.scenario import churn_snapshot, synthetic_workload
+from repro.fleet import TenantSpec, run_tenant
+from repro.fleet.scenario import churn_snapshot, run_soak, synthetic_workload
 from repro.fleet.spec import synthetic_fleet
+from repro.history.sink import HistoryConfig, HistorySink
 from repro.history.store import HistoryStore
 from repro.net.topology import EXTERNAL_PEER
-from repro.stream import Perturbations
-from repro.stream.soak import SoakConfig, run_soak
 
 
 def _repair_solves(exposition: str) -> float:
@@ -88,16 +87,11 @@ def test_soak_evaluates_demand_every_epoch(tmp_path):
     a dropped update is a real hole, which the validator is right to
     flag and repair."""
     nodes, epochs = 20, 12
-    result = run_soak(
-        SoakConfig(
-            nodes=nodes,
-            epochs=epochs,
-            backend="vector",
-            perturb=Perturbations(reorder=0.10, duplicate=0.02),
-            history_path=str(tmp_path / "soak.db"),
-            history_deterministic=True,
-        )
+    spec = TenantSpec(
+        tenant="soak", nodes=nodes, epochs=epochs, backend="vector", reorder=0.10, duplicate=0.02
     )
+    with HistorySink(HistoryConfig(path=str(tmp_path / "soak.db"), deterministic=True)) as sink:
+        result = run_soak(spec, history=sink)
     assert result.epochs_sealed == epochs
     store = HistoryStore(str(tmp_path / "soak.db"), writer=False)
     try:

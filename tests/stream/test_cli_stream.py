@@ -78,3 +78,23 @@ class TestStreamSoak:
         assert payload["updates"] > 0
         assert payload["duplicates"] > 0
         assert payload["updates_per_s"] > 0
+
+    def test_concurrent_drop_oldest_soak_with_delays_and_failures(self, capsys):
+        assert main(
+            [
+                "stream", "--soak", "--nodes", "8", "--epochs", "4", "--concurrent",
+                "--backpressure", "drop-oldest", "--queue-size", "4",
+                "--delay", "0.05", "--fail", "0.05", "--json",
+            ]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {
+            "nodes", "links", "epochs_streamed", "epochs_sealed", "updates",
+            "updates_per_s", "p50_ms", "p95_ms", "p99_ms", "late_dropped",
+            "duplicates", "feed_dropped", "backpressure_dropped", "retries",
+            "abandoned", "complete_epochs", "partial_epochs",
+        }
+        assert payload["epochs_streamed"] == payload["epochs_sealed"] == 4
+        # The flags reached the run: the 4-slot queue shed, feeds retried.
+        assert payload["backpressure_dropped"] > 0
+        assert payload["retries"] > 0
