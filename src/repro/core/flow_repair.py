@@ -10,17 +10,27 @@ We build exactly that system.  One conservation equation per router::
 
 Unknowns (flagged or missing values -- the "variables" in the paper's
 flow vector) move to the left-hand side of ``A x = b``; knowns fold
-into ``b``.  The least-squares solution gives candidate repairs, and an
-SVD null-space test tells us *which* unknowns are uniquely determined
--- an unknown whose value can trade off against another along a null
-direction is not recoverable and must stay unknown rather than be
-"repaired" with an arbitrary minimum-norm guess.
+into ``b``.  The least-squares solution gives candidate repairs.
+
+*Which* unknowns are uniquely determined is a fact about a graph, not
+a numerical question.  Every column of ``A`` is a signed incidence
+vector over the routers plus a virtual *ground* vertex that has no
+row: an edge ``u->v`` is +1 on v's row and -1 on u's; ``ext_in``,
+``ext_out`` and ``drop`` are +-1 on one router's row, an edge from that
+router to ground; an endpoint outside ``nodes`` is ground; a self-loop
+``u->u`` and a column with no rows are loops.  So the unknown columns
+form a graph, its rank is |vertices| - |components|, and an unknown is
+determined iff it is a *bridge* of that graph (it lies on no cycle).
+One on a cycle can trade off against the others around it, so it
+stays unknown rather than be "repaired" with an arbitrary
+minimum-norm guess.  The paper's |V| - 1 is the connected case with
+no ground.
 
 The solve is *component-scoped*: two unknowns interact only when they
 touch a common conservation equation, so the unknown-coefficient
 matrix is block-diagonal over the connected components of that
 interaction graph.  Each component is solved independently (the
-minimum-norm solution, residual, and null-space verdicts of the block
+minimum-norm solution, residual, rank and bridges of the block
 decomposition coincide with the global system's), which keeps a solve
 on an epoch with localized corruption proportional to the corrupted
 region rather than the whole WAN -- and makes individual component
@@ -76,13 +86,6 @@ def drop_var(node: str) -> VarKey:
     return ("drop", node)
 
 
-#: Null-space components smaller than this count as zero (an unknown is
-#: uniquely determined when every null vector is ~zero at its index).
-_NULLSPACE_TOL = 1e-8
-#: Machine epsilon of float64 (the SVD rank cutoff's unit).
-_EPS = float(np.finfo(float).eps)
-
-
 @dataclass
 class RepairResult:
     """Outcome of one conservation solve.
@@ -94,7 +97,9 @@ class RepairResult:
             (``||Ax - b|| / max(1, ||b||)``); a large residual means
             the *known* values already violate conservation, i.e. more
             corruption than the unknowns can explain.
-        rank: Rank of the unknown-coefficient matrix.
+        rank: Rank of the unknown-coefficient matrix: per interaction
+            component, its routers plus ground (when a member touches
+            it) less one.
         num_unknowns: How many unknowns the system had.
     """
 
@@ -122,8 +127,9 @@ class ConservationSolveCache:
     A component's solution is fully determined by its unknown keys, the
     equation rows it touches, and the folded-in right-hand side on
     those rows -- all of which the cache key captures exactly.  Because
-    ``numpy.linalg.lstsq``/``svd`` are deterministic for identical
-    inputs, a cache hit returns a *bitwise-identical* solution to a
+    ``numpy.linalg.lstsq`` is deterministic for identical inputs (and
+    which unknowns are determined depends on the keys and rows alone),
+    a cache hit returns a *bitwise-identical* solution to a
     fresh solve, so cached and uncached passes stay differentially
     indistinguishable.
 
@@ -409,16 +415,23 @@ def _solve_component(
     component_rows: Sequence[int],
     b: np.ndarray,
 ) -> _ComponentSolution:
-    """Least-squares + null-space analysis for one component block
-    (``b``: the right-hand side on ``component_rows``)."""
+    """Least squares for one component block (``b``: the right-hand
+    side on ``component_rows``); a value is kept only when its unknown
+    is a bridge of the block's graph."""
     row_position = {row: i for i, row in enumerate(component_rows)}
     height, width = len(component_rows), len(members)
     flat: List[int] = []
     coefs: List[float] = []
+    # Each column as a graph edge over the rows plus ground (vertex
+    # ``height``), which stands in for every endpoint without a row.
+    endpoints: List[Tuple[int, int]] = []
     for column, j in enumerate(members):
-        for row, coefficient in unknown_entries[j][3]:
+        rows = unknown_entries[j][3]
+        for row, coefficient in rows:
             flat.append(row_position[row] * width + column)
             coefs.append(coefficient)
+        ends = [row_position[row] for row, _coefficient in rows] + [height, height]
+        endpoints.append((ends[0], ends[1]))
     # Scattered from index lists: bincount adds each (row, column)
     # pair's coefficients onto zero in list order, as ``+=`` would.
     matrix = np.bincount(
@@ -429,26 +442,59 @@ def _solve_component(
     fitted = matrix @ solution
     residual_sq = float(np.dot(fitted - b, fitted - b))
 
-    # Null-space analysis: which unknowns are uniquely determined?
-    _u, singular, vt = np.linalg.svd(matrix)
-    tol = max(matrix.shape) * (singular[0] if singular.size else 0.0) * _EPS
-    effective_rank = int((singular > tol).sum()) if singular.size else 0
-    null_vectors = vt[effective_rank:]
-    if null_vectors.size:
-        underdetermined = (np.abs(null_vectors) > _NULLSPACE_TOL).any(axis=0).tolist()
-    else:
-        underdetermined = [False] * len(members)
-
+    # The block's graph is connected (its unknowns chain through shared
+    # rows), so its rank is its vertex count less one.
+    grounded = any(height in edge for edge in endpoints)
+    rank = height + grounded - 1
     values: List[Tuple[VarKey, Optional[float]]] = []
-    for j, value, loose in zip(members, solution.tolist(), underdetermined):
+    for j, value, determined in zip(members, solution.tolist(), _bridges(endpoints, height + 1)):
         key = unknown_entries[j][0]
-        if loose:
+        if not determined:
             values.append((key, None))
             continue
         if -1e-6 < value < 0:
             value = 0.0
         values.append((key, value))
-    return tuple(values), residual_sq, effective_rank
+    return tuple(values), residual_sq, rank
+
+
+def _bridges(endpoints: Sequence[Tuple[int, int]], num_vertices: int) -> List[bool]:
+    """Per edge, whether it is a bridge (lies on no cycle) of the
+    multigraph on ``num_vertices`` vertices, searched from vertex 0
+    (an edge the search does not reach reads ``False``).
+
+    An iterative Tarjan lowlink search.  Parallel edges are told apart
+    by index, so a 2-cycle holds no bridge; a loop is a back edge to
+    its own vertex, so it is never one.
+    """
+    adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(num_vertices)]
+    for edge, (u, v) in enumerate(endpoints):
+        adjacency[u].append((v, edge))
+        adjacency[v].append((u, edge))
+    order = [-1] * num_vertices
+    low = [0] * num_vertices
+    bridge = [False] * len(endpoints)
+    order[0] = 0
+    visited = 1
+    stack = [(0, -1, iter(adjacency[0]))]
+    while stack:
+        vertex, via, neighbours = stack[-1]
+        for nxt, edge in neighbours:
+            if edge == via:
+                continue
+            if order[nxt] < 0:
+                order[nxt] = low[nxt] = visited
+                visited += 1
+                stack.append((nxt, edge, iter(adjacency[nxt])))
+                break
+            low[vertex] = min(low[vertex], order[nxt])
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                low[parent] = min(low[parent], low[vertex])
+                bridge[via] = low[vertex] > order[parent]
+    return bridge
 
 
 def solve_flow_conservation(

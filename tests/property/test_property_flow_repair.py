@@ -9,35 +9,47 @@ same rank and unknown count, and hit or miss a shared solve cache
 identically.  ``golden/flow_repair_results.json`` holds three fixed
 systems' results captured, as hex floats, from the dict-only solver
 the array front end was introduced beside.
+
+Which unknowns are determined, and the rank, the solver reads off the
+unknown graph (bridges over routers plus ground).  The SVD null-space
+test it used before is kept here as an oracle: every component solved
+over the masks below and over the catalog on both backends must get
+the same verdicts and rank from both.
 """
 
+import contextlib
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import flow_repair
 from repro.core.flow_repair import (
     ConservationSolveCache,
     ConservationSystem,
     edge_var,
     solve_flow_conservation,
 )
+from repro.engine import ValidationEngine
 from repro.net.demand import gravity_demand
 from repro.net.simulation import NetworkSimulator
-from repro.topologies.synthetic import waxman_topology
+from repro.scenarios.catalog import all_scenarios
+from repro.topologies.synthetic import ring_topology, waxman_topology
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 GOLDEN = Path(__file__).parent / "golden" / "flow_repair_results.json"
 
 
-def true_system(seed: int, size: int = 8):
-    """A consistent conservation system from a real simulation."""
-    topo = waxman_topology(size, seed=seed, capacity=1e9)
+def true_system(seed: int, size: int = 8, topo=None):
+    """A consistent conservation system from a real simulation (on a
+    waxman topology unless ``topo`` is given)."""
+    topo = topo or waxman_topology(size, seed=seed, capacity=1e9)
     demand = gravity_demand(topo.node_names(), total=90.0, seed=seed)
     truth = NetworkSimulator(topo, demand).run()
     nodes = topo.node_names()
@@ -94,6 +106,31 @@ class TestSolverSoundness:
         result = solve_flow_conservation(nodes, edges, edge_values, ext_in, ext_out, drops)
         assert result.rank <= len(nodes)
 
+    def test_determined_values_are_right_the_rest_silent(self):
+        # Right or silent: every unknown the graph determines comes back
+        # at the simulator's true value; every other one comes back
+        # None, as the SVD oracle independently agrees.
+        with svd_checked() as tally:
+
+            @given(
+                seed=st.integers(min_value=0, max_value=10_000),
+                size=st.integers(min_value=4, max_value=16),
+                mask=st.sampled_from(TRUTH_MASKS),
+                fraction=st.sampled_from([0.02, 0.1, 0.3, 0.7]),
+            )
+            @settings(max_examples=40, deadline=None)
+            def right_or_silent(seed, size, mask, fraction):
+                system, edge_values, ext_in, ext_out, drops, truth = masked_truth(
+                    seed, size, mask, fraction, 1.0
+                )
+                result = system.solve(edge_values, ext_in, ext_out, drops)
+                assert not tally["disagreements"]
+                for key, value in result.solved().items():
+                    assert value == pytest.approx(true_value(truth, key), rel=1e-6, abs=1e-6)
+
+            right_or_silent()
+        assert tally["determined"] and tally["undetermined"]
+
     @given(seed=seeds)
     @settings(max_examples=15, deadline=None)
     def test_no_unknowns_empty_result(self, seed):
@@ -111,6 +148,15 @@ class TestSolverSoundness:
 MASKS = (
     "random", "all_known", "all_unknown", "silent_router", "zeros", "cancel", "heavy_drop"
 )
+
+
+def true_value(truth, key):
+    """The simulator's value of one conservation variable."""
+    kind, *names = key
+    if kind == "edge":
+        return truth.edge_flows[tuple(names)]
+    by_kind = {"ext_in": truth.ext_in, "ext_out": truth.ext_out, "drop": truth.dropped}
+    return by_kind[kind][names[0]]
 
 
 def flat_values(system, edge_values, ext_in, ext_out, drops) -> np.ndarray:
@@ -137,9 +183,34 @@ def canonical(result):
     }
 
 
+#: Masks whose unknowns form a known shape: a 2-cycle ``u->v`` +
+#: ``v->u``, and a ring of unknown edges through 8+ routers plus one
+#: external value on it (a pendant edge to ground).
+GRAPH_MASKS = MASKS + ("parallel_pair", "long_cycle")
+
+#: Masks that hide values without changing them, so the simulator's
+#: flows stay the truth.
+TRUTH_MASKS = ("random", "all_unknown", "silent_router", "parallel_pair", "long_cycle")
+
+
 def masked_system(seed: int, size: int, mask: str, fraction: float, constant: float):
-    """A waxman system with one of the masks the front ends must agree on."""
-    nodes, edges, edge_values, ext_in, ext_out, drops, _truth = true_system(seed, size)
+    """A waxman system (a ring for ``long_cycle``) with one of the
+    masks the front ends must agree on."""
+    return masked_truth(seed, size, mask, fraction, constant)[:-1]
+
+
+def masked_truth(seed: int, size: int, mask: str, fraction: float, constant: float):
+    """:func:`masked_system` plus the simulation it hides values of."""
+    if mask == "long_cycle":
+        ring = ring_topology(max(size, 8), capacity=1e9)
+        nodes, edges, edge_values, ext_in, ext_out, drops, truth = true_system(
+            seed, topo=ring
+        )
+        for a, b in zip(nodes, nodes[1:] + nodes[:1]):
+            edge_values[(a, b)] = None
+        ext_in[nodes[seed % len(nodes)]] = None
+        return ConservationSystem.build(nodes, edges), edge_values, ext_in, ext_out, drops, truth
+    nodes, edges, edge_values, ext_in, ext_out, drops, truth = true_system(seed, size)
     rng = random.Random(seed)
     mappings = (edge_values, ext_in, ext_out, drops)
     if mask == "zeros":
@@ -164,6 +235,9 @@ def masked_system(seed: int, size: int, mask: str, fraction: float, constant: fl
             if victim in edge:
                 edge_values[edge] = None
         ext_in[victim] = ext_out[victim] = drops[victim] = None
+    elif mask == "parallel_pair":
+        src, dst = edges[rng.randrange(len(edges))]
+        edge_values[(src, dst)] = edge_values[(dst, src)] = None
     elif mask != "all_known":
         for mapping in mappings:
             for key in mapping:
@@ -173,7 +247,7 @@ def masked_system(seed: int, size: int, mask: str, fraction: float, constant: fl
         # A known drop larger than every edge and external value: the
         # residual scale must still ignore drops.
         drops[nodes[0]] = 1e12
-    return ConservationSystem.build(nodes, edges), edge_values, ext_in, ext_out, drops
+    return ConservationSystem.build(nodes, edges), edge_values, ext_in, ext_out, drops, truth
 
 
 def golden_systems():
@@ -270,3 +344,109 @@ class TestTwoFrontEndsOneAnswer:
                         assert float.fromhex(a) == pytest.approx(
                             float.fromhex(b), rel=1e-9, abs=1e-9
                         )
+
+
+# ---------------------------------------------------------------------------
+# The graph decides recoverability; the SVD is the oracle
+# ---------------------------------------------------------------------------
+
+#: The SVD null-space test's tolerances, as the solver used them
+#: before it read recoverability off the unknown graph.
+NULLSPACE_TOL = 1e-8
+EPS = float(np.finfo(float).eps)
+
+
+def svd_reference(unknown_entries, members, component_rows):
+    """``(determined flags, rank)`` of one component by the SVD: the
+    rank counts singular values above ``max(shape) * s0 * eps``, and an
+    unknown is determined when every null vector is below
+    ``NULLSPACE_TOL`` at its index."""
+    row_position = {row: i for i, row in enumerate(component_rows)}
+    matrix = np.zeros((len(component_rows), len(members)))
+    for column, j in enumerate(members):
+        for row, coefficient in unknown_entries[j][3]:
+            matrix[row_position[row], column] += coefficient
+    _u, singular, vt = np.linalg.svd(matrix)
+    tol = max(matrix.shape) * (singular[0] if singular.size else 0.0) * EPS
+    rank = int((singular > tol).sum())
+    null_vectors = vt[rank:]
+    if not null_vectors.size:
+        return [True] * len(members), rank
+    return (np.abs(null_vectors) <= NULLSPACE_TOL).all(axis=0).tolist(), rank
+
+
+@contextlib.contextmanager
+def svd_checked():
+    """Check every component the solver solves against
+    :func:`svd_reference`.  Yields a tally of components, determined
+    and undetermined unknowns, and disagreements."""
+    tally = {"components": 0, "determined": 0, "undetermined": 0, "disagreements": []}
+    solve = flow_repair._solve_component
+
+    def checked(unknown_entries, members, component_rows, b):
+        solution = solve(unknown_entries, members, component_rows, b)
+        values, _residual_sq, rank = solution
+        determined = [value is not None for _key, value in values]
+        expected = svd_reference(unknown_entries, members, component_rows)
+        tally["components"] += 1
+        tally["determined"] += sum(determined)
+        tally["undetermined"] += len(determined) - sum(determined)
+        if (determined, rank) != expected:
+            tally["disagreements"].append(([key for key, _ in values], determined, rank, expected))
+        return solution
+
+    with mock.patch.object(flow_repair, "_solve_component", checked):
+        yield tally
+
+
+@pytest.fixture(scope="module")
+def catalog_epochs():
+    """Three seed-7 epochs of every catalog scenario: ``(world, outcomes)``."""
+    runs = []
+    for scenario in all_scenarios():
+        world = scenario.build(seed=7)
+        runs.append((world, [world.run_epoch(timestamp=float(epoch)) for epoch in range(3)]))
+    return runs
+
+
+class TestGraphDecidesRecoverability:
+    def test_bridges_and_rank_equal_the_svd(self):
+        with svd_checked() as tally:
+
+            @given(
+                seed=st.integers(min_value=0, max_value=10_000),
+                size=st.integers(min_value=4, max_value=16),
+                mask=st.sampled_from(GRAPH_MASKS),
+                fraction=st.sampled_from([0.02, 0.1, 0.3, 0.7]),
+                constant=st.sampled_from([0.1, 1.0, 3.0, 1e9]),
+            )
+            @settings(max_examples=80, deadline=None)
+            def agree(seed, size, mask, fraction, constant):
+                system, edge_values, ext_in, ext_out, drops = masked_system(
+                    seed, size, mask, fraction, constant
+                )
+                result = system.solve(edge_values, ext_in, ext_out, drops)
+                system.solve_array(flat_values(system, edge_values, ext_in, ext_out, drops))
+                assert not tally["disagreements"]
+                unknown = [key for key, value in result.values.items() if value is None]
+                if mask == "parallel_pair":
+                    assert len(unknown) == 2 and result.rank == 1
+                if mask == "long_cycle":
+                    # The ring's edges lie on a cycle; the external value
+                    # hanging off it is a bridge.
+                    assert len(unknown) == len(system.nodes) == result.rank
+
+            agree()
+        assert tally["determined"] and tally["undetermined"]
+
+    @pytest.mark.parametrize("backend", ["python", "vector"])
+    def test_catalog_components_agree_with_the_svd(self, catalog_epochs, backend):
+        with svd_checked() as tally:
+            for world, outcomes in catalog_epochs:
+                engine = ValidationEngine(
+                    world.topology, config=world.hodor_config, backend=backend
+                )
+                for outcome in outcomes:
+                    engine.validate(outcome.snapshot, outcome.inputs)
+        assert tally["disagreements"] == []
+        assert tally["determined"] and tally["undetermined"]

@@ -11,7 +11,7 @@ from repro.core.flow_repair import (
 )
 
 
-def line_system(unknown_edges=(), **overrides):
+def line_system(unknown_edges=()):
     """The Figure 3 line network: A -> B -> C.
 
     A->B carries 76, B->C carries 75; ext_in A=76, B=23; ext_out B=24,
@@ -25,8 +25,6 @@ def line_system(unknown_edges=(), **overrides):
     drops = {"A": 0.0, "B": 0.0, "C": 0.0}
     for key in unknown_edges:
         edge_values[key] = None
-    for mapping, updates in overrides.items():
-        locals()[mapping].update(updates)  # pragma: no cover - unused
     return nodes, edges, edge_values, ext_in, ext_out, drops
 
 
@@ -85,16 +83,17 @@ class TestUnderdetermined:
         assert result.values[ext_out_var("B")] is None
 
     def test_rank_bound_respected(self):
-        # Up to |V| - 1 unknowns are recoverable (paper): with 3 nodes
-        # and 4 independent-equation unknowns, some must stay unknown.
+        # Up to |V| - 1 unknowns are recoverable (paper).  These four
+        # lie on one cycle, ground -> A -> B -> C -> ground, so none is
+        # a bridge: all stay unknown, and the rank is 4 vertices - 1.
         nodes, edges, edge_values, ext_in, ext_out, drops = line_system(
             unknown_edges=[("A", "B"), ("B", "C")]
         )
         ext_in["A"] = None
         ext_out["C"] = None
         result = solve_flow_conservation(nodes, edges, edge_values, ext_in, ext_out, drops)
-        unsolved = [key for key, value in result.values.items() if value is None]
-        assert unsolved  # cannot recover 4 unknowns from 3 equations
+        assert list(result.values.values()) == [None] * 4
+        assert result.rank == 3
 
     def test_edge_unknown_disentangled_by_far_end(self):
         # An unknown edge value and an unknown drop at its head look
@@ -108,6 +107,54 @@ class TestUnderdetermined:
         result = solve_flow_conservation(nodes, edges, edge_values, ext_in, ext_out, drops)
         assert result.values[edge_var("B", "C")] == pytest.approx(75.0)
         assert result.values[drop_var("B")] == pytest.approx(0.0)
+
+
+class TestGraphDecides:
+    """An unknown is determined iff it is a bridge of the unknown graph
+    over the routers plus ground."""
+
+    def test_two_cycle_not_solved(self):
+        nodes, edges, edge_values, ext_in, ext_out, drops = line_system(
+            unknown_edges=[("A", "B"), ("B", "A")]
+        )
+        result = solve_flow_conservation(nodes, edges, edge_values, ext_in, ext_out, drops)
+        assert result.values == {edge_var("A", "B"): None, edge_var("B", "A"): None}
+        assert result.rank == 1
+
+    def test_parallel_ground_edges_not_solved(self):
+        nodes, edges, edge_values, ext_in, ext_out, drops = line_system()
+        ext_out["B"] = None
+        drops["B"] = None
+        result = solve_flow_conservation(nodes, edges, edge_values, ext_in, ext_out, drops)
+        assert result.values == {ext_out_var("B"): None, drop_var("B"): None}
+        assert result.rank == 1
+
+    def test_loops_not_solved_and_add_no_rank(self):
+        # A self-loop is a zero column; an edge with both endpoints
+        # outside ``nodes`` has no row at all.  Both are loops.
+        nodes, edges, edge_values, ext_in, ext_out, drops = line_system(
+            unknown_edges=[("A", "B")]
+        )
+        edges = edges + [("A", "A"), ("X", "Y")]
+        edge_values.update({("A", "A"): None, ("X", "Y"): None})
+        result = solve_flow_conservation(nodes, edges, edge_values, ext_in, ext_out, drops)
+        assert result.values[edge_var("A", "B")] == pytest.approx(76.0)
+        assert result.values[edge_var("A", "A")] is None
+        assert result.values[edge_var("X", "Y")] is None
+        assert result.rank == 1
+
+    def test_spanning_tree_plus_ground_edge_fully_recovered(self):
+        # ground -> A -> B -> C is a path: every unknown is a bridge,
+        # and the rank is |V|, one more than a ground-free system has.
+        nodes, edges, edge_values, ext_in, ext_out, drops = line_system(
+            unknown_edges=[("A", "B"), ("B", "C")]
+        )
+        ext_in["A"] = None
+        result = solve_flow_conservation(nodes, edges, edge_values, ext_in, ext_out, drops)
+        assert result.solved() == pytest.approx(
+            {edge_var("A", "B"): 76.0, edge_var("B", "C"): 75.0, ext_in_var("A"): 76.0}
+        )
+        assert result.rank == 3
 
 
 class TestNumericalHygiene:
