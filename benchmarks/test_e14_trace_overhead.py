@@ -7,10 +7,10 @@ costs one attribute check and one constant-returning call -- so the
 acceptance bar is two-sided:
 
 * tracing **off** must be statistically negligible: the NullTracer
-  path *is* the default engine hot path, and E17's vector speedup
-  bars (which run in the same CI job on that exact path) would fail if
-  instrumentation had made epochs measurably slower than the baseline
-  they were calibrated against;
+  path *is* the default engine hot path, which the ``bench`` harness's
+  engine workloads gate against their parent commit, so
+  instrumentation that made epochs measurably slower would show
+  there;
 * tracing **on** -- full span tree, per-verdict provenance instants,
   latency histograms -- must cost < 10% per epoch at 80 nodes.
 

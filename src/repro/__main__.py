@@ -851,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--soak",
         action="store_true",
-        help="run the E15 soak driver on a synthetic topology instead of scenarios",
+        help="run a soak on a synthetic topology instead of scenarios",
     )
     stream.add_argument(
         "--nodes", type=int, default=80, help="soak topology size (with --soak)"

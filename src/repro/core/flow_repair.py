@@ -135,7 +135,14 @@ class ConservationSolveCache:
 
     Across epochs with low churn, the folded right-hand side of an
     untouched corrupted region repeats verbatim, so the vector
-    backend's R2 stage degenerates to dictionary lookups.
+    backend's R2 stage degenerates to dictionary lookups.  The hits
+    show on catalog replays (``tests/engine/test_vector.py``'s
+    ``RECORDED_REPAIR_COUNTS``: S17 solves 2 components and reuses 4
+    over three epochs).  The bench's ``engine_faulty`` ring never hits:
+    one cycle of its 60 epochs holds 408-436 distinct components
+    (seeds 0-2), more than ``max_entries``, and cycling through them in
+    order evicts each entry just before it comes round again.  Its
+    ``engine.repair_solves`` therefore prices the uncached solve.
 
     Args:
         max_entries: Evict least-recently-used solutions beyond this.

@@ -390,8 +390,6 @@ class VectorValidator:
         """Drop all epoch state (the next epoch primes from scratch)."""
         m = self._model
         self._primed = False
-        self._prev_snapshot: Optional[NetworkSnapshot] = None
-        self._state: Optional[HardenedState] = None
 
         # -- collect (rebound per epoch)
         self._cnt_rx = np.full(m.num_counter_slots, np.nan)
@@ -477,12 +475,7 @@ class VectorValidator:
         self, snapshot: NetworkSnapshot, inputs: ControllerInputs
     ) -> ValidationReport:
         """Validate one epoch on the compiled arrays."""
-        replay = self._primed and snapshot is self._prev_snapshot
-        report = self._epoch(
-            snapshot.timestamp, inputs, None if replay else lambda: self._pack(snapshot)
-        )
-        self._prev_snapshot = snapshot
-        return report
+        return self._epoch(snapshot.timestamp, inputs, lambda: self._pack(snapshot))
 
     def validate_events(
         self, events: Sequence[UpdateEvent], timestamp: float, inputs: ControllerInputs
@@ -502,36 +495,20 @@ class VectorValidator:
 
                 self._pack(EventFolder().fold(events, timestamp))
 
-        # Event buffers have no replay identity, and the one a snapshot
-        # epoch left behind must not outlive this epoch.
-        self._prev_snapshot = None
         return self._epoch(timestamp, inputs, pack)
 
     def _epoch(
-        self, timestamp: float, inputs: ControllerInputs, pack: Optional[Callable[[], None]]
+        self, timestamp: float, inputs: ControllerInputs, pack: Callable[[], None]
     ) -> ValidationReport:
-        """The three stages of one epoch; ``pack`` is the collect stage,
-        ``None`` to replay the previous epoch's arrays."""
-        m = self._model
+        """The three stages of one epoch; ``pack`` is the collect stage."""
         if self._tracer.enabled:
-            self._tracer.instant("vector", priming=not self._primed, replay=pack is None)
+            self._tracer.instant("vector", priming=not self._primed)
 
         try:
             with self._stage("collect"):
-                if pack is None:
-                    self._stats.record_reuse("collect", 0, self._pack_total)
-                else:
-                    pack()
+                pack()
             with self._stage("harden"):
-                if pack is None:
-                    state = self._state
-                    self._stats.record_reuse("harden.flows", 0, m.num_edges)
-                    self._stats.record_reuse("harden.external", 0, m.num_nodes)
-                    self._stats.record_reuse("harden.links", 0, m.num_links)
-                    self._stats.record_reuse("harden.drains", 0, m.num_nodes)
-                    self._stats.record_reuse("harden.drains", 0, m.num_links)
-                else:
-                    state = self._harden()
+                state = self._harden()
             with self._stage("check"):
                 report = ValidationReport(timestamp=timestamp, hardened=state)
                 Hodor._record(report, self._check_demand(inputs, state))
@@ -541,7 +518,6 @@ class VectorValidator:
             self.reset()
             raise
 
-        self._state = state
         self._primed = True
         return report
 

@@ -16,12 +16,7 @@ from repro.experiments.harness import ReportConfig, run_full_report
 from repro.experiments.outage_study import OutageStudy, ScenarioOutcome, taxonomy_census
 from repro.experiments.perturbation import PerturbationRow, PerturbationStudy
 from repro.experiments.reporting import format_percent, format_rate, format_table
-from repro.experiments.scale_study import (
-    ScaleRow,
-    ScaleStudy,
-    TraceOverheadRow,
-    VectorRow,
-)
+from repro.experiments.scale_study import ScaleRow, ScaleStudy, TraceOverheadRow
 from repro.experiments.threshold_study import DetectabilityRow, ThresholdRow, ThresholdStudy
 from repro.experiments.topology_study import FAULT_MODES, TopologyRow, TopologyStudy
 
@@ -45,7 +40,6 @@ __all__ = [
     "ScaleRow",
     "ScaleStudy",
     "TraceOverheadRow",
-    "VectorRow",
     "ScenarioOutcome",
     "ThresholdRow",
     "ThresholdStudy",

@@ -1,12 +1,13 @@
-"""E9/E14/E15/E17: validation cost vs network size and churn.
+"""E9/E14: validation cost vs network size, and what tracing costs.
 
 The paper envisions Hodor "as an always-on system that continuously
 validates inputs to the SDN controller as it receives them" (Section
 3.2), which only works if a validation pass is cheap at WAN scale.
 This study measures wall-clock cost of the full pipeline (collect +
 harden + all three checks) over random Waxman topologies of growing
-size, plus (E17) the vector backend's advantage when only a fraction
-of signals move between epochs -- the production steady state.
+size (E9), and the engine's cost with a live tracer (E14).  The
+streamed and vector-backend shapes are measured by the ``bench``
+harness (``stream_fresh``, ``engine_scale``, ``engine_faulty``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.control.infra import ControlPlane
 from repro.core.pipeline import Hodor
 from repro.engine import ValidationEngine, engine_registry
 from repro.fleet.scenario import churn_snapshot
-from repro.net.demand import DemandMatrix, gravity_demand
+from repro.net.demand import gravity_demand
 from repro.net.simulation import NetworkSimulator
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.counters import Jitter
@@ -32,7 +33,6 @@ __all__ = [
     "ScaleRow",
     "EngineScaleRow",
     "TraceOverheadRow",
-    "VectorRow",
     "ScaleStudy",
 ]
 
@@ -54,43 +54,6 @@ class ScaleRow:
     signals: int
     validate_ms: float
     harden_ms: float
-
-
-@dataclass(frozen=True)
-class VectorRow:
-    """E17: array-compiled vs per-entity epoch cost at one size.
-
-    Attributes:
-        nodes: Router count.
-        links: Link count.
-        epochs: Timed epochs per vector measurement (after one warm-up
-            epoch that compiles the model and primes the delta state).
-        python_epochs: Timed epochs for the python reference column
-            (capped at large sizes so the sweep stays bounded).
-        churn: Fraction of links whose counters moved each epoch.
-        python_ms: Best per-epoch wall-clock of the per-entity
-            reference units (``backend="python"``).
-        vector_ms: Best mean per-epoch wall-clock of
-            ``backend="vector"`` on the identical epoch stream.
-        p99_ms: Per-epoch p99 latency of the best vector repetition
-            (nearest-rank over its timed epochs).
-        speedup: ``python_ms / vector_ms``.
-        epochs_per_s: Sustained vector throughput, ``1000/vector_ms``.
-        reuse_rate: Fraction of per-entity-equivalent units the vector
-            run served from its delta state.
-    """
-
-    nodes: int
-    links: int
-    epochs: int
-    python_epochs: int
-    churn: float
-    python_ms: float
-    vector_ms: float
-    p99_ms: float
-    speedup: float
-    epochs_per_s: float
-    reuse_rate: float
 
 
 @dataclass(frozen=True)
@@ -171,37 +134,6 @@ class ScaleStudy:
         demand = gravity_demand(
             topology.node_names(), total=4.0 * size, seed=self._seed
         )
-        truth = NetworkSimulator(topology, demand, strategy="single").run()
-        collector = TelemetryCollector(
-            Jitter(0.005, seed=self._seed), probe_engine=ProbeEngine(seed=self._seed)
-        )
-        snapshot = collector.collect(truth)
-        plane = ControlPlane(topology)
-        records = records_from_matrix(demand, seed=self._seed)
-        inputs = plane.compute_inputs(snapshot, records)
-        return topology, snapshot, inputs
-
-    def _sparse_epoch_fixture(self, size: int):
-        """A WAN-shaped fixture that stays buildable at 1000 nodes.
-
-        The dense fixture's gravity demand routes O(N^2) commodities
-        through the ground-truth simulator, which dwarfs validation
-        itself past ~100 nodes.  Here the Waxman attachment probability
-        is scaled inversely with size so mean degree stays at the
-        80-node fixture's level (real WANs do not densify
-        quadratically), and each router offers demand to its next two
-        name-order successors -- O(N) commodities to route, while the
-        snapshot keeps the full per-entity surface (every link still
-        carries counters, statuses, probes, and drains) that validation
-        actually prices.
-        """
-        alpha = min(0.6, 0.6 * 80.0 / size)
-        topology = waxman_topology(size, alpha=alpha, seed=self._seed)
-        nodes = topology.node_names()
-        demand = DemandMatrix(nodes)
-        for i, src in enumerate(nodes):
-            for step in (1, 2):
-                demand[src, nodes[(i + step) % len(nodes)]] = 2.0 + (i % 5)
         truth = NetworkSimulator(topology, demand, strategy="single").run()
         collector = TelemetryCollector(
             Jitter(0.005, seed=self._seed), probe_engine=ProbeEngine(seed=self._seed)
@@ -379,163 +311,6 @@ class ScaleStudy:
                     off_noise=off_noise,
                     spans=sum(1 for e in events if e["type"] == "span"),
                     instants=sum(1 for e in events if e["type"] == "instant"),
-                )
-            )
-        return rows
-
-    def run_stream(
-        self,
-        sizes: Sequence[int] = (20, 80),
-        epochs: int = 50,
-        churn: float = 0.10,
-        reorder: float = 0.10,
-        drop: float = 0.01,
-        duplicate: float = 0.02,
-        export_dir: Optional[str] = None,
-    ):
-        """E15: sustained streamed ingestion under churn and delivery
-        perturbations.
-
-        For each size, streams ``epochs`` churned epochs through the
-        full stack -- perturbed per-router feeds, bounded-queue ingest,
-        watermark assembly, live engine -- and reports sustained
-        throughput plus assembly-latency percentiles (see
-        :func:`repro.fleet.scenario.run_soak`).  One pass per size: a soak
-        is its own repetition.
-
-        Args:
-            sizes: Node counts to measure.
-            epochs: Epochs streamed per size.
-            churn: Per-link probability of moving each epoch.
-            reorder: Per-delivery in-window reorder probability.
-            drop: Per-delivery source-drop probability.
-            duplicate: Per-delivery duplication probability.
-            export_dir: When given, the largest size's Prometheus
-                exposition is written there as ``E15_metrics.prom`` so
-                CI archives a real artifact.
-
-        Returns:
-            One :class:`repro.fleet.scenario.SoakResult` per size.
-        """
-        from repro.fleet.scenario import run_soak
-        from repro.fleet.spec import TenantSpec
-
-        rows = [
-            run_soak(
-                TenantSpec(
-                    tenant="soak",
-                    nodes=size,
-                    epochs=epochs,
-                    seed=self._seed,
-                    churn=churn,
-                    reorder=reorder,
-                    drop=drop,
-                    duplicate=duplicate,
-                )
-            )
-            for size in sizes
-        ]
-        if export_dir is not None:
-            rows[-1].metrics.write(f"{export_dir}/E15_metrics.prom")
-        return rows
-
-    def run_vector(
-        self,
-        sizes: Sequence[int] = (20, 40, 80),
-        epochs: int = 10,
-        churn: float = 0.10,
-        python_epochs: Optional[int] = None,
-        fixture: str = "dense",
-    ) -> List[VectorRow]:
-        """E17: the array-compiled backend vs the per-entity units.
-
-        Both backends replay the identical churned epoch stream (one
-        warm-up epoch that, for the vector engine, also compiles the
-        topology model; then the timed epochs).  The differential
-        harness in ``tests/engine/test_vector.py`` separately proves
-        the reports identical, so this measures pure cost.  The python
-        column can be capped to fewer epochs at large sizes -- its
-        per-epoch cost is what is being priced, not its endurance.
-
-        Args:
-            sizes: Node counts to measure.
-            epochs: Timed epochs per vector measurement.
-            churn: Per-link probability of moving each epoch.  Zero
-                means the E9 workload -- the identical snapshot object
-                replayed every epoch -- where the vector backend's
-                wholesale short-circuit does the least work and the
-                python backend still recomputes everything.
-            python_epochs: Timed epochs for the python reference run
-                (defaults to ``epochs``).
-            fixture: ``"dense"`` (the E9 gravity fixture) or
-                ``"sparse"`` (the bounded-degree, O(N)-commodity
-                fixture for the 200/500/1000 sweep -- see
-                :meth:`_sparse_epoch_fixture`).
-        """
-        if epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {epochs}")
-        ref_epochs = epochs if python_epochs is None else python_epochs
-        if ref_epochs < 1:
-            raise ValueError(f"python_epochs must be >= 1, got {ref_epochs}")
-        if fixture not in ("dense", "sparse"):
-            raise ValueError(f"fixture must be 'dense' or 'sparse', got {fixture!r}")
-        build = (
-            self._epoch_fixture if fixture == "dense" else self._sparse_epoch_fixture
-        )
-        rows = []
-        for size in sizes:
-            topology, snapshot, inputs = build(size)
-            rng = random.Random(self._seed)
-            snapshots = [snapshot]
-            for epoch in range(1, epochs + 1):
-                snapshots.append(
-                    snapshot
-                    if churn <= 0.0
-                    else churn_snapshot(snapshots[-1], churn, rng, float(epoch))
-                )
-
-            python_ms = float("inf")
-            for _ in range(self._repetitions):
-                engine = ValidationEngine(topology)
-                engine.validate(snapshots[0], inputs)  # warm-up
-                start = time.perf_counter()
-                for snap in snapshots[1 : ref_epochs + 1]:
-                    engine.validate(snap, inputs)
-                python_ms = min(
-                    python_ms,
-                    (time.perf_counter() - start) * 1000 / ref_epochs,
-                )
-
-            vector_ms = float("inf")
-            best_latencies: List[float] = []
-            reuse_rate = 0.0
-            for _ in range(self._repetitions):
-                engine = ValidationEngine(topology, backend="vector")
-                engine.validate(snapshots[0], inputs)  # warm-up + compile
-                latencies = []
-                for snap in snapshots[1:]:
-                    start = time.perf_counter()
-                    engine.validate(snap, inputs)
-                    latencies.append((time.perf_counter() - start) * 1000)
-                mean = sum(latencies) / epochs
-                if mean < vector_ms:
-                    vector_ms = mean
-                    best_latencies = sorted(latencies)
-                    reuse_rate = engine.stats.reuse_rate()
-            p99_index = max(1, -(-99 * len(best_latencies) // 100)) - 1
-            rows.append(
-                VectorRow(
-                    nodes=topology.num_nodes,
-                    links=topology.num_links,
-                    epochs=epochs,
-                    python_epochs=ref_epochs,
-                    churn=churn,
-                    python_ms=python_ms,
-                    vector_ms=vector_ms,
-                    p99_ms=best_latencies[p99_index],
-                    speedup=python_ms / vector_ms if vector_ms else 0.0,
-                    epochs_per_s=1000.0 / vector_ms if vector_ms else 0.0,
-                    reuse_rate=reuse_rate,
                 )
             )
         return rows

@@ -8,8 +8,8 @@ A synthetic tenant's workload is :func:`synthetic_workload`.
 :func:`run_tenant_async` then drives that workload through the real
 streaming stack (:class:`~repro.stream.ingest.StreamPipeline`) exactly
 as a standalone deployment would.  A soak is a one-tenant run:
-:func:`run_soak` is :func:`run_tenant_async` plus the throughput and
-latency figures E15/E18 report.
+:func:`run_soak` is :func:`run_tenant_async` plus throughput and
+latency figures (``repro stream --soak`` and E18 report them).
 
 That sharing is the differential's backbone: the in-fleet worker and
 the standalone comparator call the *same* function, so any divergence
@@ -355,8 +355,7 @@ class SoakResult:
         nodes / links: Topology shape.
         epochs_streamed: Epochs the run expected to seal.
         epochs_sealed: Epochs actually sealed and validated (equal to
-            ``epochs_streamed`` unless the pipeline wedged -- the E15
-            acceptance bar).
+            ``epochs_streamed`` unless the pipeline wedged).
         updates: Deliveries offered to the assembler.
         wall_s: Real seconds for the whole pipeline run.
         updates_per_s: Sustained delivery throughput.
@@ -415,7 +414,7 @@ def run_soak(
     ingest: Optional[IngestConfig] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> SoakResult:
-    """Run one tenant as a soak (E15/E18) and measure it.
+    """Run one tenant as a soak and measure it.
 
     The delivery counters are read back from ``metrics``, so pass a
     fresh registry (or none).  A ``history`` sink is compacted when the

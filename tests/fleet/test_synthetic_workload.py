@@ -19,11 +19,8 @@ from repro.history.store import HistoryStore
 from repro.net.topology import EXTERNAL_PEER
 
 
-def _repair_solves(exposition: str) -> float:
-    (line,) = [
-        line for line in exposition.splitlines()
-        if line.startswith("engine_repair_solves_total ")
-    ]
+def _sample(exposition: str, name: str) -> float:
+    (line,) = [line for line in exposition.splitlines() if line.startswith(name + " ")]
     return float(line.split()[1])
 
 
@@ -79,7 +76,7 @@ def test_default_synthetic_tenant_evaluates_demand_every_epoch():
         demand = {name: evaluated for name, _v, _n, evaluated in digest.verdicts}["demand"]
         assert demand == 2 * spec.nodes, digest.timestamp
         assert not digest.detected, digest.timestamp
-    assert _repair_solves(run.exposition) == 0
+    assert _sample(run.exposition, "engine_repair_solves_total") == 0
 
 
 def test_soak_evaluates_demand_every_epoch(tmp_path):
@@ -102,5 +99,37 @@ def test_soak_evaluates_demand_every_epoch(tmp_path):
     assert [row.ts for row in rows] == [i * 10.0 for i in range(epochs)]
     assert not any(row.detected for row in rows)
     assert [v.num_evaluated for v in demand] == [2 * nodes] * epochs
-    assert _repair_solves(result.metrics.render()) == 0
+    assert _sample(result.metrics.render(), "engine_repair_solves_total") == 0
 
+
+@pytest.mark.parametrize("backend", ["python", "vector"])
+def test_perturbed_soak_seals_every_epoch(backend):
+    """The soak's acceptance shape at 16 nodes: 10% churn, 10% in-window
+    reordering, 1% source drops and 2% duplicated deliveries.  Every
+    epoch seals (a wedged watermark would leave epochs open), the
+    perturbations really ran, and the exposition carries the stream
+    families an operator scrapes."""
+    epochs = 12
+    spec = TenantSpec(
+        tenant="soak", nodes=16, epochs=epochs, backend=backend,
+        churn=0.10, reorder=0.10, drop=0.01, duplicate=0.02,
+    )
+    result = run_soak(spec)
+    assert result.epochs_sealed == result.epochs_streamed == epochs
+    assert result.feed_dropped > 0
+    assert result.duplicates > 0
+    exposition = result.metrics.render()
+    for family in (
+        "stream_updates_total",
+        "stream_late_updates_total",
+        "stream_duplicate_updates_total",
+        "stream_feed_dropped_total",
+        "stream_backpressure_dropped_total",
+        "stream_queue_depth",
+        "stream_epochs_sealed_total",
+        "stream_assembly_latency_seconds_bucket",
+    ):
+        assert family in exposition, family
+    if backend == "vector":
+        # Delta-aware: at 10% churn most units are served from state.
+        assert _sample(exposition, "engine_reuse_rate") > 0.5

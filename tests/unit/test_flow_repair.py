@@ -174,6 +174,22 @@ class TestNumericalHygiene:
         )
         assert result.values[edge_var("A", "B")] == 0.0
 
+    def test_hair_below_zero_clamped(self):
+        # Knowns that disagree by 1e-9 put the least-squares solution
+        # about 1e-9 below zero; the solver clamps it to exactly 0.0.
+        nodes = ["A", "B"]
+        edges = [("A", "B"), ("B", "A")]
+        edge_values = {("A", "B"): None, ("B", "A"): 0.0}
+        result = solve_flow_conservation(
+            nodes,
+            edges,
+            edge_values,
+            {"A": 1.0, "B": 1e-9},
+            {"A": 1.0 + 1e-9, "B": 0.0},
+            {"A": 0.0, "B": 0.0},
+        )
+        assert result.values[edge_var("A", "B")] == 0.0
+
     def test_meaningfully_negative_preserved(self):
         # Inconsistent knowns force a negative solution; the solver
         # must not hide it (the hardener flags it).
