@@ -8,14 +8,15 @@ Exposes the library's studies and demos without writing any Python:
 - ``thresholds``  the tau_h sensitivity sweep (footnote 2),
 - ``hardening``   the hardening-efficacy ablation,
 - ``drains``      drain validation incl. the reasons extension,
-- ``scale``       validation cost vs network size,
 - ``engine``      replay scenario timelines through the always-on engine,
+- ``stream``      streamed ingestion vs batch, plus the soak,
 - ``trace``       render an exported engine trace (spans + provenance),
 - ``scenarios``   list the outage catalog,
 - ``fuzz``        randomized fault timelines vs the tri-modal oracle,
 - ``lint``        static purity/determinism analysis of the pipeline,
 - ``history``     read verdict history stores (tail/trends/query/compact),
-- ``fleet``       validate many tenant WANs across a worker-process pool.
+- ``fleet``       validate many tenant WANs across a worker-process pool,
+- ``report``      run every study and emit one markdown report.
 """
 
 from __future__ import annotations
@@ -144,19 +145,6 @@ def _cmd_drains(args: argparse.Namespace) -> int:
                 [row.case, format_percent(row.rate, 0), "yes" if row.should_flag else "no"]
                 for row in rows
             ],
-        )
-    )
-    return 0
-
-
-def _cmd_scale(args: argparse.Namespace) -> int:
-    from repro.experiments import ScaleStudy, format_table
-
-    rows = ScaleStudy(seed=args.seed).run(sizes=tuple(args.sizes))
-    print(
-        format_table(
-            ["nodes", "links", "signals", "validate (ms)"],
-            [[row.nodes, row.links, row.signals, f"{row.validate_ms:.1f}"] for row in rows],
         )
     )
     return 0
@@ -746,11 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     drains.add_argument("--trials", type=int, default=6)
     drains.add_argument("--seed", type=int, default=0)
     drains.set_defaults(func=_cmd_drains)
-
-    scale = sub.add_parser("scale", help="validation cost vs network size")
-    scale.add_argument("--sizes", type=int, nargs="+", default=[10, 20, 40, 80])
-    scale.add_argument("--seed", type=int, default=0)
-    scale.set_defaults(func=_cmd_scale)
 
     engine = sub.add_parser(
         "engine", help="replay scenario timelines through the always-on engine"

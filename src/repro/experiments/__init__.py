@@ -1,7 +1,8 @@
 """Experiment harness: one study per paper table/figure/claim.
 
 See DESIGN.md's experiment index: E1 lives in the Figure 3 bench and
-tests (the worked example needs no sweep); E2-E9 are the studies here.
+tests (the worked example needs no sweep); E2-E8 and E16 are the studies
+here.
 """
 
 from repro.experiments.drain_study import DRAIN_CASES, DrainRow, DrainStudy
@@ -16,7 +17,6 @@ from repro.experiments.harness import ReportConfig, run_full_report
 from repro.experiments.outage_study import OutageStudy, ScenarioOutcome, taxonomy_census
 from repro.experiments.perturbation import PerturbationRow, PerturbationStudy
 from repro.experiments.reporting import format_percent, format_rate, format_table
-from repro.experiments.scale_study import ScaleRow, ScaleStudy, TraceOverheadRow
 from repro.experiments.threshold_study import DetectabilityRow, ThresholdRow, ThresholdStudy
 from repro.experiments.topology_study import FAULT_MODES, TopologyRow, TopologyStudy
 
@@ -37,9 +37,6 @@ __all__ = [
     "PerturbationRow",
     "PerturbationStudy",
     "ReportConfig",
-    "ScaleRow",
-    "ScaleStudy",
-    "TraceOverheadRow",
     "ScenarioOutcome",
     "ThresholdRow",
     "ThresholdStudy",

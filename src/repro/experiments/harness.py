@@ -1,6 +1,6 @@
 """Full-report harness: run every study, write one results document.
 
-``run_full_report()`` executes E1-E11 at configurable effort and
+``run_full_report()`` executes E2-E8 at configurable effort and
 renders a single markdown document mirroring EXPERIMENTS.md's
 structure with freshly measured numbers.  Exposed on the CLI as
 ``python -m repro report``.
@@ -17,7 +17,6 @@ from repro.experiments.hardening_study import HardeningStudy
 from repro.experiments.outage_study import OutageStudy, taxonomy_census
 from repro.experiments.perturbation import PerturbationStudy
 from repro.experiments.reporting import format_percent, format_table
-from repro.experiments.scale_study import ScaleStudy
 from repro.experiments.threshold_study import ThresholdStudy
 from repro.experiments.topology_study import FAULT_MODES, TopologyStudy
 
@@ -33,7 +32,6 @@ class ReportConfig:
         hardening_trials: Trials per corruption count (E5).
         drain_trials: Trials per drain case (E7).
         threshold_trials: Snapshots per (tau_h, jitter) cell (E4).
-        scale_sizes: Node counts for the E9 sweep.
         seed: Base seed for everything.
     """
 
@@ -41,7 +39,6 @@ class ReportConfig:
     hardening_trials: int = 10
     drain_trials: int = 6
     threshold_trials: int = 3
-    scale_sizes: tuple = (10, 20, 40, 80)
     seed: int = 0
 
     @classmethod
@@ -52,7 +49,6 @@ class ReportConfig:
             hardening_trials=4,
             drain_trials=2,
             threshold_trials=1,
-            scale_sizes=(10, 20),
         )
 
 
@@ -162,17 +158,6 @@ def run_full_report(config: Optional[ReportConfig] = None) -> str:
             ["case", "flagged", "should flag"],
             [[r.case, format_percent(r.rate, 0), "yes" if r.should_flag else "no"]
              for r in d_rows],
-        ),
-    )
-
-    # E9: scale.
-    scale = ScaleStudy(seed=config.seed, repetitions=2)
-    s_rows = scale.run(sizes=config.scale_sizes)
-    section(
-        "E9 — always-on validation cost (Section 3.2)",
-        format_table(
-            ["nodes", "links", "signals", "validate (ms)"],
-            [[r.nodes, r.links, r.signals, f"{r.validate_ms:.1f}"] for r in s_rows],
         ),
     )
 

@@ -9,7 +9,7 @@ A synthetic tenant's workload is :func:`synthetic_workload`.
 streaming stack (:class:`~repro.stream.ingest.StreamPipeline`) exactly
 as a standalone deployment would.  A soak is a one-tenant run:
 :func:`run_soak` is :func:`run_tenant_async` plus throughput and
-latency figures (``repro stream --soak`` and E18 report them).
+latency figures (``repro stream --soak`` reports them).
 
 That sharing is the differential's backbone: the in-fleet worker and
 the standalone comparator call the *same* function, so any divergence
@@ -314,19 +314,20 @@ async def run_tenant_async(
 async def run_stored_tenant(
     spec: TenantSpec,
     store_path: Optional[str] = None,
-    deterministic_history: bool = True,
     gate=None,
     on_digest=None,
 ) -> TenantRun:
     """:func:`run_tenant_async` on the tenant's own registry, writing
     through to its own store at ``store_path`` when ``spec.history`` is
     set (closed when the run ends) -- how the fleet worker and
-    :func:`run_tenant` run a tenant."""
+    :func:`run_tenant` run a tenant.  The store is byte-reproducible
+    (virtual-time anchors, zeroed latencies), so a rescheduled tenant's
+    rewritten store matches the original bytes."""
     registry = MetricsRegistry()
     sink = None
     if store_path is not None and spec.history:
         sink = HistorySink(
-            HistoryConfig(path=store_path, deterministic=deterministic_history),
+            HistoryConfig(path=store_path, deterministic=True),
             metrics=registry,
         )
     try:

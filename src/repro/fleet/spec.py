@@ -104,9 +104,6 @@ class FleetConfig:
         poll_s: Longest the idle supervisor blocks before re-checking
             worker liveness; it wakes sooner, at once, when a message
             arrives or a worker process exits.
-        deterministic_history: Byte-reproducible per-tenant stores
-            (virtual-time anchors, zeroed latencies), so a rescheduled
-            tenant's rewritten store matches the original bytes.
         chaos_crash: Test-only fault injection: ``(worker_id, n)``
             makes that worker's first incarnation hard-kill itself
             (``os._exit``, no goodbye) right after putting its ``n``-th
@@ -119,7 +116,6 @@ class FleetConfig:
     store_dir: Optional[str] = None
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     poll_s: float = 0.2
-    deterministic_history: bool = True
     chaos_crash: Optional[Tuple[int, int]] = None
 
     def __post_init__(self) -> None:
@@ -142,7 +138,7 @@ def synthetic_fleet(
     backend: str = "python",
     history: bool = False,
 ) -> Tuple[TenantSpec, ...]:
-    """N soak-shaped tenant specs with decorrelated seeds (E19's fleet)."""
+    """N soak-shaped tenant specs with decorrelated seeds (``repro fleet run``'s fleet)."""
     return tuple(
         TenantSpec(
             tenant=f"t{index:04d}",

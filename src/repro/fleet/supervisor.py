@@ -246,7 +246,6 @@ class FleetSupervisor:
             args=(worker_id, control, results),
             kwargs={
                 "store_dir": self.config.store_dir,
-                "deterministic_history": self.config.deterministic_history,
                 "crash_after": crash_after,
             },
             daemon=True,

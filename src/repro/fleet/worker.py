@@ -58,7 +58,6 @@ class _WorkerState:
     worker_id: int
     results: object
     store_dir: Optional[str]
-    deterministic_history: bool
     crash_after: Optional[int] = None
     digests_put: int = 0
     tasks: Dict[str, asyncio.Task] = field(default_factory=dict)
@@ -101,7 +100,6 @@ async def _run_one(state: _WorkerState, spec: TenantSpec) -> None:
         run = await run_stored_tenant(
             spec,
             store_path=store_path,
-            deterministic_history=state.deterministic_history,
             gate=_gate_for(state),
             on_digest=lambda digest: _ship_digest(state, spec.tenant, digest),
         )
@@ -124,7 +122,6 @@ async def _worker(
     control,
     results,
     store_dir: Optional[str],
-    deterministic_history: bool,
     crash_after: Optional[int],
 ) -> None:
     loop = asyncio.get_running_loop()
@@ -146,7 +143,6 @@ async def _worker(
         worker_id=worker_id,
         results=results,
         store_dir=store_dir,
-        deterministic_history=deterministic_history,
         crash_after=crash_after,
     )
     while True:
@@ -183,12 +179,7 @@ def worker_main(
     control,
     results,
     store_dir: Optional[str] = None,
-    deterministic_history: bool = True,
     crash_after: Optional[int] = None,
 ) -> None:
     """Process entry point: run this worker's loop until told to stop."""
-    asyncio.run(
-        _worker(
-            worker_id, control, results, store_dir, deterministic_history, crash_after
-        )
-    )
+    asyncio.run(_worker(worker_id, control, results, store_dir, crash_after))

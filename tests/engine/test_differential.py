@@ -12,10 +12,15 @@ holds to a tight ``math.isclose`` tolerance.
 
 import pytest
 
+from repro.control.demand_service import records_from_matrix
+from repro.control.infra import ControlPlane
 from repro.core.pipeline import Hodor
 from repro.core.signals import Confidence
 from repro.engine import ValidationEngine, compare_reports
+from repro.net import NetworkSimulator, gravity_demand
 from repro.scenarios.catalog import all_scenarios, scenario_by_id
+from repro.telemetry import Jitter, ProbeEngine, TelemetryCollector
+from repro.topologies import abilene, b4, geant
 
 from tests.engine.conftest import random_epoch
 
@@ -43,6 +48,30 @@ def test_multi_epoch_timeline_matches_serial(scenario_id):
         assert not diffs, f"epoch {epoch}: {diffs[:5]}"
     assert engine.stats.cache_hits == 2
     assert engine.stats.cache_misses == 1
+
+
+@pytest.mark.parametrize(
+    "factory,total", [(abilene, 20.0), (b4, 300.0), (geant, 30.0)],
+    ids=["abilene", "b4", "geant"],
+)
+def test_realistic_topology_clean_epoch(factory, total):
+    """A clean epoch on each bundled WAN is all-valid on every path."""
+    topology = factory()
+    demand = gravity_demand(topology.node_names(), total=total, seed=1)
+    truth = NetworkSimulator(topology, demand, strategy="single").run()
+    snapshot = TelemetryCollector(
+        Jitter(0.005, seed=2), probe_engine=ProbeEngine(seed=3)
+    ).collect(truth)
+    inputs = ControlPlane(topology).compute_inputs(
+        snapshot, records_from_matrix(demand, seed=4)
+    )
+    serial = Hodor(topology).validate(snapshot, inputs)
+    assert serial.all_valid
+    for backend in ("python", "vector"):
+        report = ValidationEngine(topology, backend=backend).validate(snapshot, inputs)
+        assert report.all_valid, backend
+        diffs = compare_reports(serial, report)
+        assert not diffs, f"{backend}: {diffs[:5]}"
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,8 @@
 
 These drive real worker processes.  Fleets are kept small (tenants of
 8-16 nodes, a handful of epochs) so the suite stays in tier-1 time,
-but every failure path exercised here is the one E19 leans on at
-100 tenants.
+but every failure path exercised here is the one a 100-tenant fleet
+leans on.
 """
 
 import os
@@ -149,6 +149,17 @@ class TestStores:
             path = tenant_store_path(store_dir, spec.tenant)
             assert result.tenants[spec.tenant].store_path == path
             assert os.path.exists(path)
+        # The merged fleet exposition carries every tenant's stream and
+        # history families.
+        exposition = result.metrics.render()
+        for family in (
+            "stream_updates_total",
+            "stream_epochs_sealed_total",
+            "stream_assembly_latency_seconds",
+            "history_epochs_written_total",
+        ):
+            assert f"# TYPE {family} " in exposition, family
+        assert "stream_assembly_latency_seconds_bucket" in exposition
 
     def test_store_bytes_deterministic_across_runs(self, tmp_path):
         spec = TenantSpec(tenant="t0", nodes=8, epochs=3, seed=4, history=True)

@@ -14,9 +14,11 @@ import pytest
 from repro.fleet import TenantSpec, run_tenant
 from repro.fleet.scenario import churn_snapshot, run_soak, synthetic_workload
 from repro.fleet.spec import synthetic_fleet
+from repro.history.alerts import AlertEngine
 from repro.history.sink import HistoryConfig, HistorySink
-from repro.history.store import HistoryStore
+from repro.history.store import HistoryStore, RetentionPolicy
 from repro.net.topology import EXTERNAL_PEER
+from repro.obs.metrics import MetricsRegistry
 
 
 def _sample(exposition: str, name: str) -> float:
@@ -133,3 +135,43 @@ def test_perturbed_soak_seals_every_epoch(backend):
     if backend == "vector":
         # Delta-aware: at 10% churn most units are served from state.
         assert _sample(exposition, "engine_reuse_rate") > 0.5
+
+
+def test_retention_capped_soak_writes_through_and_compacts(tmp_path):
+    """The long-horizon history soak at 16 nodes: every epoch is written
+    through a store capped at 4 epochs, compaction brings the file back
+    to the cap, fired alerts land in the store's ledger, and the
+    exposition carries the history, alert and stream families.  With 2%
+    source drops one dropped counter flips demand invalid at t=80 s,
+    so ``transition:any`` fires once (1% drops flip nothing in 12
+    epochs at this size)."""
+    epochs, cap = 12, 4
+    path = str(tmp_path / "soak.db")
+    spec = TenantSpec(
+        tenant="soak", nodes=16, epochs=epochs, reorder=0.10, drop=0.02, duplicate=0.02
+    )
+    registry = MetricsRegistry()
+    config = HistoryConfig(path=path, retention=RetentionPolicy(max_epochs=cap))
+    alerts = AlertEngine(("transition:any",), metrics=registry)
+    with HistorySink(config, alerts=alerts, metrics=registry) as sink:
+        result = run_soak(spec, history=sink, metrics=registry)
+    assert result.epochs_sealed == epochs
+    assert result.history_epochs == cap
+    assert result.history_compaction_deleted == epochs - cap
+    assert result.history_bytes_compacted <= result.history_bytes
+    with HistoryStore(path, writer=False) as store:
+        ledger = [(alert.rule, alert.key, alert.ts) for alert in store.alerts()]
+    assert ledger == [("transition:any", "demand", 80.0)]
+    assert result.alerts_fired == len(ledger)
+    exposition = result.metrics.render()
+    for family in (
+        "history_rows_total",
+        "history_store_bytes",
+        "history_epochs_written_total",
+        "history_compactions_total",
+        "history_retention_deleted_total",
+        "alerts_fired_total",
+        "stream_updates_total",
+    ):
+        assert f"# TYPE {family} " in exposition, family
+    assert _sample(exposition, "history_epochs_written_total") == epochs

@@ -11,7 +11,6 @@ from repro.experiments import (
     HardeningStudy,
     OutageStudy,
     PerturbationStudy,
-    ScaleStudy,
     ThresholdStudy,
     TopologyStudy,
     format_table,
@@ -168,17 +167,6 @@ class TestDrainStudy:
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError):
             DrainStudy().run(cases=("nope",))
-
-
-class TestScaleStudy:
-    def test_rows_and_monotone_signals(self):
-        rows = ScaleStudy(repetitions=1).run(sizes=(10, 25))
-        assert rows[0].signals < rows[1].signals
-        assert all(row.validate_ms > 0 for row in rows)
-
-    def test_bad_repetitions(self):
-        with pytest.raises(ValueError):
-            ScaleStudy(repetitions=0)
 
 
 class TestReporting:

@@ -37,11 +37,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "detection rate" in out
 
-    def test_scale_small(self, capsys):
-        assert main(["scale", "--sizes", "8", "12"]) == 0
-        out = capsys.readouterr().out
-        assert "validate (ms)" in out
-
     def test_drains_small(self, capsys):
         assert main(["drains", "--trials", "1"]) == 0
         out = capsys.readouterr().out
@@ -68,7 +63,7 @@ class TestReportCommand:
         assert main(["report", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "# Hodor reproduction" in out
-        assert "E2 —" in out and "E9 —" in out
+        assert "E2 —" in out
 
     def test_report_to_file(self, tmp_path, capsys):
         target = tmp_path / "RESULTS.md"
