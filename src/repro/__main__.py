@@ -308,11 +308,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 delay=args.delay,
                 fail=args.fail,
             )
-            ingest = IngestConfig(
-                queue_size=args.queue_size,
-                backpressure=args.backpressure,
-                deterministic=not args.concurrent,
-            )
+            ingest = IngestConfig(queue_size=args.queue_size)
             history = _history_sink(args, registry)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
@@ -338,7 +334,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             "late_dropped": result.late_dropped,
             "duplicates": result.duplicates,
             "feed_dropped": result.feed_dropped,
-            "backpressure_dropped": result.backpressure_dropped,
             "retries": result.retries,
             "abandoned": result.abandoned,
             "complete_epochs": result.complete_epochs,
@@ -403,11 +398,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             assembler,
             engine,
             inputs_for=inputs_by_ts,
-            config=IngestConfig(
-                queue_size=args.queue_size,
-                backpressure=args.backpressure,
-                deterministic=not args.concurrent,
-            ),
+            config=IngestConfig(queue_size=args.queue_size),
             metrics=registry,
             history=history,
         )
@@ -819,17 +810,11 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--fail", type=float, default=0.0, help="transient feed-failure probability"
     )
-    stream.add_argument("--queue-size", type=int, default=256)
     stream.add_argument(
-        "--backpressure",
-        choices=("block", "drop-oldest"),
-        default="block",
-        help="bounded-queue policy when producers outrun validation",
-    )
-    stream.add_argument(
-        "--concurrent",
-        action="store_true",
-        help="one producer task per feed instead of the merged deterministic order",
+        "--queue-size",
+        type=int,
+        default=256,
+        help="ingest queue bound; the producer waits while it is full",
     )
     stream.add_argument(
         "--soak",

@@ -248,8 +248,8 @@ async def run_tenant_async(
         history: Optional caller-owned sink every validated epoch is
             written through to (the caller closes it).
         metrics: Optional shared registry; a fresh one by default.
-        ingest: Queue/backpressure/delivery-order tuning
-            (``IngestConfig()`` by default).
+        ingest: Queue bound and retry tuning (``IngestConfig()`` by
+            default).
         gate: Optional admission gate forwarded to the pipeline
             (``gate(epoch) -> bool``; ``False`` sheds the epoch).
         on_digest: Optional callback invoked with each
@@ -366,7 +366,6 @@ class SoakResult:
         late_dropped: Deliveries that missed their epoch's seal.
         duplicates: Duplicate deliveries suppressed.
         feed_dropped: Deliveries the feeds dropped at the source.
-        backpressure_dropped: Events shed by drop-oldest.
         retries: Feed delivery retries.
         abandoned: Feeds abandoned after exhausting retries.
         complete_epochs / partial_epochs: Coverage split.
@@ -396,7 +395,6 @@ class SoakResult:
     late_dropped: int
     duplicates: int
     feed_dropped: int
-    backpressure_dropped: int
     retries: int
     abandoned: int
     complete_epochs: int
@@ -443,7 +441,6 @@ def run_soak(
         late_dropped=run.late_dropped,
         duplicates=run.duplicates,
         feed_dropped=int(registry.get("stream_feed_dropped_total").value),
-        backpressure_dropped=int(registry.get("stream_backpressure_dropped_total").value),
         retries=int(registry.get("stream_feed_retries_total").value),
         abandoned=int(registry.get("stream_feeds_abandoned_total").value),
         complete_epochs=complete,

@@ -1,9 +1,9 @@
-"""Streaming ingestion: async feeds -> watermark assembly -> engine.
+"""Streaming ingestion: feeds -> bounded queue -> watermark assembly -> engine.
 
 Turns per-router gNMI-style update streams -- late, duplicated,
 reordered, lossy -- into validated epochs for the always-on engine.
 See ``docs/STREAMING.md`` for the event schema, watermark semantics,
-backpressure policies, and the partial-epoch contract.
+the blocking ingest queue, and the partial-epoch contract.
 """
 
 from repro.stream.assembler import AssembledEpoch, EpochAssembler

@@ -1,7 +1,7 @@
 """Asyncio ingestion: feeds -> bounded queue -> assembler -> engine.
 
 :class:`StreamPipeline` is the always-on wiring the paper's Section
-3.2 deployment model implies: per-router feeds push update deliveries
+3.2 deployment model implies: one producer merges the per-router feeds
 into one bounded queue; a single consumer drains it into the
 :class:`~repro.stream.assembler.EpochAssembler`; every epoch the
 assembler seals is validated immediately by a
@@ -10,15 +10,16 @@ pipeline does not care).
 
 Design points:
 
-* **Bounded queue + explicit backpressure.**  ``"block"`` (default)
-  makes producers await queue space, so a slow validator throttles the
-  feeds -- nothing is lost, ingest latency absorbs the pressure.
-  ``"drop-oldest"`` sheds load instead: when the queue is full the
-  oldest *event* is discarded (and counted); end-of-feed control items
-  are never dropped, so sealing can never deadlock on a discarded
-  notification.
+* **One merged producer, blocking on a full queue.**  The producer
+  merges every feed in ``(emit_ts, router, uid)`` order, so the queue
+  sequence -- and therefore every counter -- is reproducible run to
+  run.  When the queue is full the producer waits: a slow validator
+  throttles the feeds and ingest latency absorbs the pressure, visible
+  in ``stream_queue_depth``.  Ingest never discards a delivery, because
+  missing telemetry is exactly the input the validator exists to flag;
+  shedding it here would manufacture the fault being looked for.
 * **No await on a hop that cannot block.**  ``asyncio.Queue.put``/
-  ``get`` suspend only on a full/empty queue, so producers and the
+  ``get`` suspend only on a full/empty queue, so the producer and the
   consumer use ``put_nowait``/``get_nowait`` and fall back to the
   awaiting form exactly there -- the same scheduling, without a
   coroutine frame per delivery.  ``stream_queue_depth`` is sampled at
@@ -29,30 +30,25 @@ Design points:
   validate; it is disabled for that synchronous call (and restored to
   what the caller had) so its aging passes run after the verdict is
   stamped, not inside the latency the operator reads.
-* **Per-feed timeout + retry with backoff.**  A delivery attempt that
-  raises :class:`~repro.stream.events.FeedError` or times out is
-  retried with exponential backoff up to ``max_retries``; a feed that
-  keeps failing is abandoned and marked done, so the watermark stops
-  waiting for it (its epochs seal partial rather than never).
+* **Retry with backoff.**  A delivery attempt that raises
+  :class:`~repro.stream.events.FeedError` is retried with exponential
+  backoff up to ``max_retries``; a feed that keeps failing is
+  abandoned and marked done, so the watermark stops waiting for it
+  (its epochs seal partial rather than never).
 * **Ordered completion.**  A feed's end-of-stream marker travels
   through the same queue *behind* its deliveries, so the assembler
   never learns a feed is done while that feed's updates are still
-  queued.  The consumer terminates by counting *terminal* markers --
-  one per producer task, enqueued as that task's very last put -- so
-  shutdown is itself ordered through the queue and cannot race a
-  producer whose final marker is written but not yet enqueued.
+  queued.  The producer's terminal marker is its very last put, and
+  the consumer stops when it dequeues it -- so shutdown is itself
+  ordered through the queue and cannot race a done-marker that is
+  written but not yet enqueued.
 * **Run-scoped state.**  Queue, counters, and the result object live
   in a per-run ``_RunState`` passed explicitly to every coroutine;
   the pipeline object holds no mutable run state, so overlapping
   ``run_async()`` calls cannot interfere.
-* **Graceful drain.**  After every producer finishes, the consumer
-  empties the queue and then drains the assembler, sealing whatever
-  the watermark could not (the final epochs of any bounded run).
-* **Deterministic mode.**  With ``deterministic=True`` one producer
-  merges all feeds in ``(emit_ts, router, uid)`` order, making the
-  queue sequence -- and therefore every counter -- reproducible run
-  to run.  ``False`` runs one producer task per feed; the assembler's
-  buffer-and-sort sealing keeps sealed epochs deterministic even then.
+* **Graceful drain.**  After the producer finishes, the consumer
+  drains the assembler, sealing whatever the watermark could not (the
+  final epochs of any bounded run).
 
 The event-loop clock is read through
 :func:`repro.obs.clock.event_loop_time` -- the sanctioned seam --
@@ -77,23 +73,19 @@ from repro.stream.feed import RouterFeed
 
 __all__ = ["IngestConfig", "StreamResult", "StreamPipeline"]
 
-_BACKPRESSURE_POLICIES = ("block", "drop-oldest")
-
 
 @dataclass(frozen=True)
 class _FeedDone:
-    """In-band end-of-stream marker for one feed (never dropped).
+    """In-band end-of-stream marker for one feed.
 
-    ``terminal`` marks a *producer task* exiting (its very last put).
-    The consumer runs until it has seen one terminal marker per
-    producer task -- the only termination signal that cannot race,
-    because FIFO order guarantees every event a producer enqueued
-    travels ahead of its terminal marker.  (The previous design
-    counted live producers in a shared integer decremented *before*
-    the marker was enqueued; a consumer scheduled inside that window
-    saw zero producers and an empty queue while the woken-but-
-    unscheduled putter still held the final marker, and shut down
-    without processing it.)
+    ``terminal`` marks the producer exiting (its very last put), and
+    the consumer stops when it dequeues it.  That is the only
+    termination signal that cannot race: FIFO order guarantees every
+    event and done-marker the producer enqueued travels ahead of it.
+    A "producer finished" flag or counter set *beside* the queue can
+    read finished while a woken-but-unscheduled put still holds the
+    final done-marker, and a consumer scheduled inside that window
+    sees an empty queue and shuts down without processing it.
     """
 
     router: str
@@ -104,7 +96,7 @@ class _FeedDone:
 class _RunState:
     """Mutable state owned by exactly one ``run_async()`` call.
 
-    Producers and the consumer share this object through explicit
+    The producer and the consumer share this object through explicit
     parameters instead of pipeline attributes, so one pipeline can
     never bleed counters or queue items across overlapping runs, and
     hodor-lint A2 can verify no instance state straddles an ``await``.
@@ -113,7 +105,6 @@ class _RunState:
     queue: asyncio.Queue
     result: StreamResult
     retries: int = 0
-    shed: int = 0
     abandoned: List[str] = field(default_factory=list)
 
 
@@ -122,30 +113,17 @@ class IngestConfig:
     """Tuning for the ingestion pipeline.
 
     Attributes:
-        queue_size: Bound on the shared delivery queue.
-        backpressure: ``"block"`` (producers wait for space) or
-            ``"drop-oldest"`` (shed the oldest queued event).
-        feed_timeout_s: Per-delivery timeout before a retry.
-        max_retries: Failed/timed-out attempts before a feed is
-            abandoned.
+        queue_size: Bound on the delivery queue; the producer waits
+            while it is full.
+        max_retries: Failed attempts before a feed is abandoned.
         backoff_base_s: First retry delay; doubles per attempt.
-        deterministic: Merge all feeds in one producer (reproducible
-            queue order) instead of one producer task per feed.
     """
 
     queue_size: int = 256
-    backpressure: str = "block"
-    feed_timeout_s: float = 5.0
     max_retries: int = 3
     backoff_base_s: float = 0.005
-    deterministic: bool = True
 
     def __post_init__(self) -> None:
-        if self.backpressure not in _BACKPRESSURE_POLICIES:
-            raise ValueError(
-                f"unknown backpressure policy {self.backpressure!r}; "
-                f"expected one of {_BACKPRESSURE_POLICIES}"
-            )
         if self.queue_size < 1:
             raise ValueError(f"queue_size must be >= 1, got {self.queue_size}")
         if self.max_retries < 0:
@@ -167,7 +145,6 @@ class StreamResult:
         updates: Deliveries offered to the assembler.
         late_dropped: Deliveries that missed their epoch's seal.
         duplicates: Duplicate deliveries suppressed.
-        backpressure_dropped: Events shed by the drop-oldest policy.
         retries: Feed delivery attempts that were retried.
         abandoned: Feeds given up on after exhausting retries.
         epoch_latency_s: Per-epoch seconds from seal to validated,
@@ -182,7 +159,6 @@ class StreamResult:
     updates: int = 0
     late_dropped: int = 0
     duplicates: int = 0
-    backpressure_dropped: int = 0
     retries: int = 0
     abandoned: Tuple[str, ...] = ()
     epoch_latency_s: List[float] = field(default_factory=list, repr=False)
@@ -230,7 +206,7 @@ class StreamPipeline:
             latency is the pipeline's natural backpressure source.
         inputs_for: Controller inputs per epoch -- a callable taking
             the epoch timestamp, or a mapping keyed by it.
-        config: Queue/backpressure/retry tuning.
+        config: Queue bound and retry tuning.
         metrics: Optional shared registry (pass the same one given to
             the assembler and engine for a single exposition).
         tracer: Optional tracer; each validated epoch records a
@@ -267,11 +243,6 @@ class StreamPipeline:
         on_epoch=None,
     ) -> None:
         self._feeds = list(feeds)
-        # Classified once: an async feed's ``next_event`` is a coroutine
-        # function; a sync replay feed's is called directly.
-        self._feed_is_async = tuple(
-            asyncio.iscoroutinefunction(feed.next_event) for feed in self._feeds
-        )
         self._assembler = assembler
         self._engine = engine
         self._inputs_for = self._as_callable(inputs_for)
@@ -289,13 +260,9 @@ class StreamPipeline:
             "stream_epochs_shed_total",
             "Sealed epochs the admission gate declined to validate.",
         )
-        self._shed_total = self.metrics.counter(
-            "stream_backpressure_dropped_total",
-            "Events shed by the drop-oldest backpressure policy.",
-        )
         self._retry_total = self.metrics.counter(
             "stream_feed_retries_total",
-            "Feed delivery attempts retried after a failure or timeout.",
+            "Feed delivery attempts retried after a failure.",
         )
         self._abandoned_total = self.metrics.counter(
             "stream_feeds_abandoned_total",
@@ -306,7 +273,6 @@ class StreamPipeline:
             "Deliveries the feeds themselves dropped at the source.",
         )
         for counter in (
-            self._shed_total,
             self._retry_total,
             self._abandoned_total,
             self._feed_dropped_total,
@@ -321,135 +287,61 @@ class StreamPipeline:
         return inputs_for.__getitem__
 
     # ------------------------------------------------------------------
-    # Producers
+    # Producer
     # ------------------------------------------------------------------
 
-    async def _pull(
-        self, state: _RunState, feed: RouterFeed, is_async: bool, attempts: int = 0
-    ) -> Optional[UpdateEvent]:
-        """Next delivery with retry/backoff; ``None`` = exhausted or
-        abandoned (the caller cannot tell, and does not need to).
-
-        Producers call a sync replay feed's ``next_event`` themselves --
-        it cannot block, so it needs neither a timeout nor a coroutine
-        frame -- and come here only for an async feed (real gNMI I/O,
-        run under the per-feed timeout) or once a sync attempt has
-        raised, passing the ``attempts`` already failed."""
+    async def _retry(self, state: _RunState, feed: RouterFeed) -> Optional[UpdateEvent]:
+        """Retry a feed whose delivery attempt just raised, with
+        backoff; ``None`` = exhausted or abandoned (the caller cannot
+        tell, and does not need to)."""
         config = self.config
+        attempts = 1
         while True:
-            if attempts:
-                state.retries += 1
-                self._retry_total.inc()
-                if attempts > config.max_retries:
-                    state.abandoned.append(feed.router)
-                    self._abandoned_total.inc()
-                    return None
-                await asyncio.sleep(config.backoff_base_s * (2 ** (attempts - 1)))
+            state.retries += 1
+            self._retry_total.inc()
+            if attempts > config.max_retries:
+                state.abandoned.append(feed.router)
+                self._abandoned_total.inc()
+                return None
+            await asyncio.sleep(config.backoff_base_s * (2 ** (attempts - 1)))
             try:
-                if is_async:
-                    return await asyncio.wait_for(
-                        feed.next_event(), config.feed_timeout_s
-                    )
                 return feed.next_event()
-            except (FeedError, asyncio.TimeoutError):
+            except FeedError:
                 attempts += 1
 
-    async def _enqueue_full(self, state: _RunState, item: UpdateEvent) -> None:
-        """Enqueue an event that found the queue full: wait for space
-        (``"block"``) or shed the oldest queued event.  Producers
-        ``put_nowait`` themselves while there is room -- ``Queue.put``
-        only suspends on a full queue, so going around it changes no
-        scheduling decision -- which makes this the one place a
-        producer parks, and where the depth gauge is sampled."""
-        queue = state.queue
-        self._queue_gauge.set(float(queue.qsize()))
-        if self.config.backpressure == "drop-oldest" and self._shed_oldest(state):
-            queue.put_nowait(item)  # the shed event's slot
-        else:
-            # "block" -- or a queue full of control items, where nothing
-            # is droppable.
-            await queue.put(item)
-
-    def _shed_oldest(self, state: _RunState) -> bool:
-        """Discard the oldest queued *event*; controls are re-queued
-        behind it (only ever delayed, never lost or reordered ahead of
-        their own feed's events, which are all already dequeued)."""
-        queue = state.queue
-        controls: List[object] = []
-        shed = False
-        while not shed:
-            try:
-                item = queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if isinstance(item, _FeedDone):
-                controls.append(item)
-            else:
-                shed = True
-                state.shed += 1
-                self._shed_total.inc()
-        for control in controls:
-            queue.put_nowait(control)
-        return shed
-
-    async def _produce_one(
-        self, state: _RunState, feed: RouterFeed, is_async: bool
-    ) -> None:
-        """Concurrent mode: one producer task per feed.  The feed's
-        done-marker doubles as this task's terminal marker."""
-        queue = state.queue
-        try:
-            while True:
-                if is_async:
-                    event = await self._pull(state, feed, True)
-                else:
-                    try:
-                        event = feed.next_event()
-                    except FeedError:
-                        event = await self._pull(state, feed, False, attempts=1)
-                if event is None:
-                    break
-                try:
-                    queue.put_nowait(event)
-                except asyncio.QueueFull:
-                    await self._enqueue_full(state, event)
-        finally:
-            await queue.put(_FeedDone(feed.router, terminal=True))
-
     async def _produce_merged(self, state: _RunState) -> None:
-        """Deterministic mode: merge every feed in delivery order.
-        Per-feed done-markers are non-terminal (the single producer is
-        still running); one terminal marker closes the task."""
+        """Merge every feed into the queue in delivery order.  Each
+        feed's done-marker follows its last delivery; one terminal
+        marker closes the run."""
         queue = state.queue
         try:
-            heap: List[Tuple[float, str, int, int, UpdateEvent, RouterFeed, bool]] = []
+            heap: List[Tuple[float, str, int, int, UpdateEvent, RouterFeed]] = []
             tiebreak = 0
             # Feeds still owed their first pull, last first; once every
             # feed is primed each pull replaces the delivery just sent.
-            unprimed = list(zip(self._feeds, self._feed_is_async))[::-1]
+            unprimed = self._feeds[::-1]
             while unprimed or heap:
                 if unprimed:
-                    feed, is_async = unprimed.pop()
+                    feed = unprimed.pop()
                 else:
-                    _ts, _router, _uid, _tb, event, feed, is_async = heapq.heappop(heap)
+                    _ts, _router, _uid, _tb, event, feed = heapq.heappop(heap)
                     try:
                         queue.put_nowait(event)
                     except asyncio.QueueFull:
-                        await self._enqueue_full(state, event)
-                if is_async:
-                    event = await self._pull(state, feed, True)
-                else:
-                    try:
-                        event = feed.next_event()
-                    except FeedError:
-                        event = await self._pull(state, feed, False, attempts=1)
+                        # The one place the producer parks: sample the
+                        # depth gauge, then wait for space.
+                        self._queue_gauge.set(float(queue.qsize()))
+                        await queue.put(event)
+                try:
+                    event = feed.next_event()
+                except FeedError:
+                    event = await self._retry(state, feed)
                 if event is None:
                     await queue.put(_FeedDone(feed.router))
                     continue
                 tiebreak += 1
                 heapq.heappush(
-                    heap,
-                    (event.emit_ts, event.router, event.uid, tiebreak, event, feed, is_async),
+                    heap, (event.emit_ts, event.router, event.uid, tiebreak, event, feed)
                 )
         finally:
             await queue.put(_FeedDone("", terminal=True))
@@ -495,15 +387,15 @@ class StreamPipeline:
         if self._on_epoch is not None:
             self._on_epoch(epoch, report, latency)
 
-    async def _consume(self, state: _RunState, remaining: int) -> None:
-        """Drain the queue until every producer's terminal marker has
-        been seen.  Each producer enqueues its terminal marker last, so
-        FIFO order makes ``remaining == 0`` imply every queued event
-        and done-marker has already been processed -- no shared
-        counter, no window in which a pending marker can be missed."""
+    async def _consume(self, state: _RunState) -> None:
+        """Drain the queue until the producer's terminal marker.  The
+        producer enqueues it last, so FIFO order means every queued
+        event and done-marker has already been processed when it
+        arrives -- no shared flag, no window in which a pending marker
+        can be missed."""
         queue = state.queue
         assembler = self._assembler
-        while remaining > 0:
+        while True:
             # ``Queue.get`` only suspends on an empty queue; taking the
             # item directly otherwise changes no scheduling decision.
             try:
@@ -513,8 +405,8 @@ class StreamPipeline:
                 item = await queue.get()
             if isinstance(item, _FeedDone):
                 if item.terminal:
-                    remaining -= 1
-                sealed = assembler.mark_done(item.router) if item.router else []
+                    break
+                sealed = assembler.mark_done(item.router)
             else:
                 sealed = assembler.offer(item)
             if sealed:
@@ -538,26 +430,17 @@ class StreamPipeline:
             queue=asyncio.Queue(maxsize=self.config.queue_size),
             result=StreamResult(),
         )
-        if self.config.deterministic:
-            producers = [asyncio.ensure_future(self._produce_merged(state))]
-        else:
-            producers = [
-                asyncio.ensure_future(self._produce_one(state, feed, is_async))
-                for feed, is_async in zip(self._feeds, self._feed_is_async)
-            ]
+        producer = asyncio.ensure_future(self._produce_merged(state))
         try:
-            await self._consume(state, remaining=len(producers))
-            for task in producers:
-                await task
+            await self._consume(state)
+            await producer
         finally:
-            for task in producers:
-                if not task.done():
-                    task.cancel()
+            if not producer.done():
+                producer.cancel()
         result = state.result
         result.updates = self._assembler.updates
         result.late_dropped = self._assembler.late_dropped
         result.duplicates = self._assembler.duplicates
-        result.backpressure_dropped = state.shed
         result.retries = state.retries
         result.abandoned = tuple(state.abandoned)
         feed_dropped = sum(feed.stats.dropped for feed in self._feeds)

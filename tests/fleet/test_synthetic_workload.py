@@ -126,7 +126,6 @@ def test_perturbed_soak_seals_every_epoch(backend):
         "stream_late_updates_total",
         "stream_duplicate_updates_total",
         "stream_feed_dropped_total",
-        "stream_backpressure_dropped_total",
         "stream_queue_depth",
         "stream_epochs_sealed_total",
         "stream_assembly_latency_seconds_bucket",

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 
 
@@ -13,6 +15,11 @@ class TestStreamScenario:
         assert lines[0].split() == [
             "id", "sealed", "complete", "partial", "late", "dups", "matches", "batch"
         ]
+        assert lines[2].split() == ["S16", "2/2", "2", "0", "0", "0", "yes"]
+        # A one-slot queue parks the producer on every delivery and
+        # must still match batch.
+        assert main(["stream", "--scenario", "S16", "--epochs", "2", "--queue-size", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[2].split() == ["S16", "2/2", "2", "0", "0", "0", "yes"]
 
     def test_json_payload(self, capsys):
@@ -50,6 +57,14 @@ class TestStreamScenario:
     def test_unknown_scenario_is_a_usage_error(self, capsys):
         assert main(["stream", "--scenario", "S99"]) == 2
 
+    @pytest.mark.parametrize("flags", [["--concurrent"], ["--backpressure", "block"]])
+    def test_removed_ingest_flags_are_usage_errors(self, capsys, flags):
+        # Ingest has one shape (one merged producer, blocking queue), so
+        # neither the producer layout nor a shedding policy is a flag.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stream", "--scenario", "S16", *flags])
+        assert exit_info.value.code == 2
+
     def test_metrics_prom_export(self, capsys, tmp_path):
         target = tmp_path / "stream.prom"
         assert main(
@@ -79,11 +94,10 @@ class TestStreamSoak:
         assert payload["duplicates"] > 0
         assert payload["updates_per_s"] > 0
 
-    def test_concurrent_drop_oldest_soak_with_delays_and_failures(self, capsys):
+    def test_small_queue_soak_with_delays_and_failures(self, capsys):
         assert main(
             [
-                "stream", "--soak", "--nodes", "8", "--epochs", "4", "--concurrent",
-                "--backpressure", "drop-oldest", "--queue-size", "4",
+                "stream", "--soak", "--nodes", "8", "--epochs", "4", "--queue-size", "4",
                 "--delay", "0.05", "--fail", "0.05", "--json",
             ]
         ) == 0
@@ -91,10 +105,9 @@ class TestStreamSoak:
         assert set(payload) == {
             "nodes", "links", "epochs_streamed", "epochs_sealed", "updates",
             "updates_per_s", "p50_ms", "p95_ms", "p99_ms", "late_dropped",
-            "duplicates", "feed_dropped", "backpressure_dropped", "retries",
-            "abandoned", "complete_epochs", "partial_epochs",
+            "duplicates", "feed_dropped", "retries", "abandoned",
+            "complete_epochs", "partial_epochs",
         }
         assert payload["epochs_streamed"] == payload["epochs_sealed"] == 4
-        # The flags reached the run: the 4-slot queue shed, feeds retried.
-        assert payload["backpressure_dropped"] > 0
+        # The flags reached the run: feeds failed and were retried.
         assert payload["retries"] > 0

@@ -1,11 +1,12 @@
-"""StreamPipeline: backpressure, retry/abandon, determinism."""
+"""StreamPipeline: blocking queue, retry/abandon, termination, determinism."""
 
 import asyncio
 import gc
+import itertools
 
 import pytest
 
-from repro.engine import ValidationEngine, compare_reports
+from repro.engine import ValidationEngine
 from repro.stream import (
     AssembledEpoch,
     EpochAssembler,
@@ -85,14 +86,6 @@ class TestHappyPath:
         assert len(result.epoch_latency_s) == 3
         assert result.abandoned == ()
 
-    def test_concurrent_mode_matches_deterministic_mode(self):
-        topology, epochs, inputs = _timeline()
-        ordered = _run(topology, epochs, inputs, config=IngestConfig(deterministic=True))
-        racing = _run(topology, epochs, inputs, config=IngestConfig(deterministic=False))
-        assert len(ordered.reports) == len(racing.reports) == 3
-        for left, right in zip(ordered.reports, racing.reports):
-            assert not compare_reports(left, right)
-
     def test_inputs_for_accepts_a_mapping(self):
         topology, epochs, inputs = _timeline()
         feeds = make_feeds(epochs)
@@ -138,68 +131,6 @@ class TestRetryAndAbandon:
         assert result.partial_epochs == 3
         assert all(epoch.missing == (dead.router,) for epoch in result.epochs)
 
-
-class _AsyncFeed:
-    """A real feed behind an ``async def next_event`` (the gNMI shape);
-    the delivery attempts listed in ``stall_on`` never return."""
-
-    def __init__(self, feed, stall_on=()):
-        self.router = feed.router
-        self.stats = feed.stats
-        self._feed = feed
-        self._stall_on = stall_on
-        self.attempts = 0
-
-    async def next_event(self):
-        self.attempts += 1
-        if self._stall_on is all or self.attempts in self._stall_on:
-            await asyncio.Event().wait()
-        return self._feed.next_event()
-
-
-def _run_mixed(stall_on=(), config=None, perturb=None, seed=0):
-    """The `_run` pipeline with the first feed made async."""
-    topology, epochs, inputs = _timeline()
-    feeds = list(make_feeds(epochs, perturb=perturb, seed=seed).values())
-    feeds[0] = _AsyncFeed(feeds[0], stall_on)
-    assembler = EpochAssembler([feed.router for feed in feeds], lateness_s=1.0)
-    engine = ValidationEngine(topology)
-    pipeline = StreamPipeline(
-        feeds, assembler, engine, inputs_for=lambda _ts: inputs, config=config
-    )
-    return pipeline.run(), feeds[0]
-
-
-class TestMixedSyncAndAsyncFeeds:
-    @pytest.mark.parametrize("deterministic", [True, False])
-    def test_async_feed_among_sync_feeds_changes_nothing(self, deterministic):
-        topology, epochs, inputs = _timeline()
-        perturb = Perturbations(reorder=0.1, duplicate=0.05, fail=0.05)
-        config = IngestConfig(deterministic=deterministic, backoff_base_s=0.0001)
-        plain = _run(topology, epochs, inputs, perturb=perturb, seed=3, config=config)
-        mixed, _feed = _run_mixed(config=config, perturb=perturb, seed=3)
-        assert plain.retries == mixed.retries > 0
-        assert (plain.updates, plain.duplicates) == (mixed.updates, mixed.duplicates)
-        assert [e.coverage for e in plain.epochs] == [e.coverage for e in mixed.epochs]
-        for left, right in zip(plain.reports, mixed.reports):
-            assert not compare_reports(left, right)
-
-    def test_stalled_async_delivery_times_out_and_is_retried(self):
-        config = IngestConfig(feed_timeout_s=0.01, backoff_base_s=0.0001)
-        result, feed = _run_mixed(stall_on=(1, 5), config=config)
-        assert result.retries == 2
-        assert result.abandoned == ()
-        assert result.complete_epochs == 3
-        assert feed.attempts == feed.stats.emitted + 2 + 1  # + the final None
-
-    def test_hung_async_feed_is_abandoned_sync_feeds_unharmed(self):
-        config = IngestConfig(feed_timeout_s=0.005, max_retries=2, backoff_base_s=0.0001)
-        result, feed = _run_mixed(stall_on=all, config=config)
-        assert result.abandoned == (feed.router,)
-        assert result.retries == feed.attempts == config.max_retries + 1
-        assert len(result.epochs) == result.partial_epochs == 3
-        assert all(epoch.missing == (feed.router,) for epoch in result.epochs)
-
     def test_backoff_doubles_per_failed_attempt(self, monkeypatch):
         delays = []
         real_sleep = asyncio.sleep
@@ -230,19 +161,6 @@ class TestCountersMatchTheAwaitingPipeline:
     from the pipeline that awaited every hop (the commit before the
     ``put_nowait``/``get_nowait`` fast paths), on these same fixtures."""
 
-    @pytest.mark.parametrize(
-        "queue_size, deterministic, shed, offered",
-        [(1, True, 282, 6), (2, True, 281, 7), (8, True, 245, 43), (2, False, 286, 2)],
-    )
-    def test_drop_oldest_shed_counts(self, queue_size, deterministic, shed, offered):
-        topology, epochs, inputs = _timeline()
-        config = IngestConfig(
-            queue_size=queue_size, backpressure="drop-oldest", deterministic=deterministic
-        )
-        result = _run(topology, epochs, inputs, config=config)
-        assert (result.backpressure_dropped, result.updates) == (shed, offered)
-        assert [epoch.timestamp for epoch in result.epochs] == [20.0]
-
     @pytest.mark.parametrize("queue_size", [4, 256])
     def test_deterministic_mode_counters(self, queue_size):
         topology, epochs, inputs = _timeline()
@@ -261,38 +179,15 @@ class TestCountersMatchTheAwaitingPipeline:
 class TestBackpressure:
     def test_block_policy_loses_nothing_on_a_tiny_queue(self):
         topology, epochs, inputs = _timeline()
-        result = _run(
-            topology,
-            epochs,
-            inputs,
-            config=IngestConfig(queue_size=2, backpressure="block"),
+        result = _run(topology, epochs, inputs, config=IngestConfig(queue_size=2))
+        # The producer waits on the full queue: every emitted delivery
+        # reaches the assembler.
+        assert result.updates == sum(
+            feed.stats.emitted for feed in make_feeds(epochs).values()
         )
-        assert result.backpressure_dropped == 0
         assert result.complete_epochs == 3
 
-    def test_drop_oldest_sheds_but_still_seals_every_epoch(self):
-        topology, epochs, inputs = _timeline()
-        result = _run(
-            topology,
-            epochs,
-            inputs,
-            config=IngestConfig(queue_size=2, backpressure="drop-oldest"),
-        )
-        assert result.backpressure_dropped > 0
-        # Shedding whole early epochs is allowed (their every event may
-        # be discarded before the consumer runs); the run must still
-        # terminate, seal the freshest epoch, and account for every
-        # emitted delivery as either offered or shed.
-        assert 1 <= len(result.epochs) <= 3
-        assert result.epochs[-1].timestamp == 20.0
-        assert result.updates + result.backpressure_dropped == sum(
-            feed.stats.emitted
-            for feed in make_feeds(epochs).values()
-        )
-
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            IngestConfig(backpressure="drop-newest")
         with pytest.raises(ValueError):
             IngestConfig(queue_size=0)
         with pytest.raises(ValueError):
@@ -335,6 +230,38 @@ class _EmptyFeed:
         return None
 
 
+class _OneDeliveryFeed:
+    """A feed that delivers one update, then is exhausted."""
+
+    def __init__(self, router):
+        self.router = router
+        self._pending = [
+            UpdateEvent(
+                router=router,
+                path=f"/system/processes/drain[node={router}]/state/drained",
+                epoch_ts=0.0,
+                emit_ts=0.0,
+                uid=0,
+                value=False,
+            )
+        ]
+
+        class _Stats:
+            dropped = 0
+
+        self.stats = _Stats()
+
+    def next_event(self):
+        return self._pending.pop() if self._pending else None
+
+
+_FEED_KINDS = {
+    "empty": _EmptyFeed,
+    "one": _OneDeliveryFeed,
+    "failing": _AlwaysFailingFeed,
+}
+
+
 class _NullEngine:
     def validate_events(self, events, timestamp, inputs, topology=None):
         return object()
@@ -342,20 +269,20 @@ class _NullEngine:
 
 class TestTerminationOrdering:
     def test_every_done_marker_is_processed_before_drain(self):
-        # Regression: the consumer used to stop on a shared live-producer
-        # count decremented *before* the done-marker was enqueued.  With
-        # queue_size=1 and two concurrent producers, producer B blocks
-        # putting its marker behind A's; the consumer, scheduled in that
-        # window, saw count==0 and an empty queue and shut down without
-        # ever processing mark_done("B").  Termination now counts the
-        # terminal markers themselves, which travel through the queue.
+        # Regression: the consumer once stopped on a live-producer count
+        # decremented *before* the done-marker was enqueued.  On a
+        # one-slot queue the producer parks putting B's marker behind
+        # A's; a consumer scheduled in that window saw no live producer
+        # and an empty queue and shut down without ever processing
+        # mark_done("B").  Termination is now the producer's terminal
+        # marker, which travels through the queue behind every other.
         assembler = _RecordingAssembler(["A", "B"], lateness_s=1.0)
         pipeline = StreamPipeline(
             [_EmptyFeed("A"), _EmptyFeed("B")],
             assembler,
             _NullEngine(),
             inputs_for=lambda _ts: None,
-            config=IngestConfig(queue_size=1, deterministic=False),
+            config=IngestConfig(queue_size=1),
         )
         result = pipeline.run()
         marked = {call[1] for call in assembler.calls if call[0] == "mark_done"}
@@ -363,19 +290,45 @@ class TestTerminationOrdering:
         assert assembler.calls[-1] == ("drain",)
         assert result.epochs == []
 
-    def test_tiny_queue_concurrent_mode_still_seals_by_watermark(self):
+    def test_tiny_queue_still_seals_by_watermark(self):
         # End-to-end shape of the same property: with real events on a
         # one-slot queue, every epoch must seal on the watermark path
         # (all done-markers processed), never by shutdown drain.
         topology, epochs, inputs = _timeline()
-        result = _run(
-            topology,
-            epochs,
-            inputs,
-            config=IngestConfig(queue_size=1, deterministic=False),
-        )
+        result = _run(topology, epochs, inputs, config=IngestConfig(queue_size=1))
         assert len(result.epochs) == 3
         assert all(epoch.sealed_by == "watermark" for epoch in result.epochs)
+
+    def test_terminal_marker_protocol_exhaustive_at_small_scope(self):
+        # Every queue bound 1-3, retry budget 0-1, and every sequence of
+        # 0-3 feeds that are each empty, one-delivery or always failing:
+        # 240 runs, each of which must terminate, mark every router done
+        # exactly once, drain last, and offer every emitted delivery.
+        runs = 0
+        for queue_size, max_retries, count in itertools.product((1, 2, 3), (0, 1), range(4)):
+            for kinds in itertools.product(sorted(_FEED_KINDS), repeat=count):
+                routers = [f"r{index}" for index in range(count)]
+                feeds = [_FEED_KINDS[kind](router) for kind, router in zip(kinds, routers)]
+                assembler = _RecordingAssembler(routers, lateness_s=1.0)
+                config = IngestConfig(
+                    queue_size=queue_size, max_retries=max_retries, backoff_base_s=1e-4
+                )
+                pipeline = StreamPipeline(
+                    feeds, assembler, _NullEngine(), inputs_for=lambda _ts: None, config=config
+                )
+                result = asyncio.run(asyncio.wait_for(pipeline.run_async(), timeout=10.0))
+                case = (queue_size, max_retries, kinds)
+                marked = [call[1] for call in assembler.calls if call[0] == "mark_done"]
+                assert sorted(marked) == routers, case
+                assert assembler.calls[-1] == ("drain",), case
+                assert assembler.calls.count(("drain",)) == 1, case
+                assert result.updates == kinds.count("one"), case
+                assert len(result.epochs) == (1 if "one" in kinds else 0), case
+                dead = tuple(r for kind, r in zip(kinds, routers) if kind == "failing")
+                assert result.abandoned == dead, case
+                assert result.retries == len(dead) * (max_retries + 1), case
+                runs += 1
+        assert runs == 3 * 2 * (1 + 3 + 9 + 27)
 
 
 class TestCollectorPause:
@@ -496,7 +449,6 @@ class TestMetrics:
         rendered = pipeline.metrics.render()
         for family in (
             "stream_queue_depth",
-            "stream_backpressure_dropped_total",
             "stream_feed_retries_total",
             "stream_feeds_abandoned_total",
             "stream_feed_dropped_total",
